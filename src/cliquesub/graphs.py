@@ -96,7 +96,11 @@ class Graph:
         return (1 << self.n) - 1
 
     def bool_matrix(self) -> np.ndarray:
-        """Dense n x n boolean adjacency matrix (cached)."""
+        """Dense n x n boolean adjacency matrix (cached).
+
+        The cache holds n^2 bytes for the life of the graph: 9 MB at
+        n = 3000, 41 MB at n = 6400.
+        """
         if self._mat is None:
             n = self.n
             nbytes = (n + 7) // 8

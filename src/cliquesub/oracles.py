@@ -14,6 +14,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Optional
 
+import numpy as np
+
 from .graphs import Graph, bits, complement, edge_density
 from .subdivision import SubdivisionCertificate
 
@@ -171,31 +173,74 @@ def omega_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> Tagged:
     return _max_clique_core(g.rows, g.n, budget)
 
 
+class _SaturationOrder:
+    """DSATUR pick order as numpy state, shared by both colouring searches.
+
+    The next vertex is the uncoloured one with the most distinct neighbour
+    colours, then the highest degree, then the lowest index.  That order is
+    one int64 key per vertex, sat*n*(D+1) + deg*n + (n-1-v) with D the
+    maximum degree, or -1 once coloured, so a pick is an argmax.
+    ``seen[c, w]`` records that some coloured neighbour of w has colour c.
+    A smallest free colour is at most D, so D+2 rows hold every colour in
+    use plus one that no vertex has.
+    """
+
+    def __init__(self, g: Graph):
+        n = g.n
+        self.mat = g.bool_matrix()
+        deg = self.mat.sum(axis=1, dtype=np.int64)
+        max_deg = int(deg.max())
+        self.step = n * (max_deg + 1)
+        self.key = deg * n + np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.seen = np.zeros((max_deg + 2, n), dtype=bool)
+
+    def pick(self) -> int:
+        return int(self.key.argmax())
+
+    def saturation(self, v: int) -> int:
+        return int(self.key[v]) // self.step
+
+    def colour(self, v: int, c: int):
+        """Colour v with c; returns what ``uncolour`` needs to undo it."""
+        key, seen_c = self.key, self.seen[c]
+        old = int(key[v])
+        key[v] = -1
+        newly = self.mat[v] & ~seen_c
+        seen_c |= newly
+        bumped = newly & (key >= 0)
+        key[bumped] += self.step
+        return v, old, newly, bumped, seen_c
+
+    def uncolour(self, undo) -> None:
+        v, old, newly, bumped, seen_c = undo
+        self.key[bumped] -= self.step
+        seen_c &= ~newly
+        self.key[v] = old
+
+
 def dsatur_upper(g: Graph) -> tuple[int, tuple[int, ...]]:
-    """DSATUR coloring: proper, count >= chi(g); exact on bipartite inputs."""
+    """DSATUR coloring: proper, count >= chi(g); exact on bipartite inputs.
+
+    Each step colours the uncoloured vertex with the most distinct
+    neighbour colours, then the highest degree, then the lowest index, with
+    the smallest colour no neighbour has.  The colouring matches, vertex for
+    vertex, the set-based loop that the tests keep as a reference.
+
+    A step costs O(n) numpy work.  Memory: the graph's cached n x n bool
+    matrix plus a (D+2) x n bool table, D the maximum degree.
+    """
     n = g.n
     if n == 0:
         return 0, ()
+    order = _SaturationOrder(g)
     color = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
     used = 0
     for _ in range(n):
-        best = -1
-        key = (-1, -1, 0)
-        for v in range(n):
-            if color[v] >= 0:
-                continue
-            cand = (len(neighbor_colors[v]), g.degree(v), -v)
-            if cand > key:
-                key = cand
-                best = v
-        c = 0
-        while c in neighbor_colors[best]:
-            c += 1
-        color[best] = c
+        v = order.pick()
+        c = int(order.seen[: used + 1, v].argmin())
+        color[v] = c
         used = max(used, c + 1)
-        for w in g.neighbors(best):
-            neighbor_colors[w].add(c)
+        order.colour(v, c)
     return used, tuple(color)
 
 
@@ -225,38 +270,27 @@ def _try_k_coloring(g: Graph, k: int, budget: list[int]) -> Optional[tuple[int, 
     """
     n = g.n
     color = [-1] * n
-    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
-
-    def pick() -> int:
-        best, key = -1, (-1, -1, 0)
-        for v in range(n):
-            if color[v] < 0:
-                cand = (len(neighbor_colors[v]), g.degree(v), -v)
-                if cand > key:
-                    key, best = cand, v
-        return best
+    order = _SaturationOrder(g)
 
     def assign(depth: int, max_used: int):
         if depth == n:
             return tuple(color)
-        v = pick()
-        if len(neighbor_colors[v]) >= k:
+        v = order.pick()
+        if order.saturation(v) >= k:
             return None
         # allow at most one brand-new color index (class symmetry breaking)
         limit = min(k, max_used + 1)
+        taken = order.seen[:limit, v].tolist()
         for c in range(limit):
-            if c in neighbor_colors[v]:
+            if taken[c]:
                 continue
             budget[0] -= 1
             if budget[0] < 0:
                 return "exceeded"
             color[v] = c
-            added = [w for w in g.neighbors(v) if c not in neighbor_colors[w]]
-            for w in added:
-                neighbor_colors[w].add(c)
+            undo = order.colour(v, c)
             res = assign(depth + 1, max(max_used, c + 1))
-            for w in added:
-                neighbor_colors[w].discard(c)
+            order.uncolour(undo)
             color[v] = -1
             if res is not None:
                 return res
@@ -507,14 +541,3 @@ def graph_stats(
         if stats.alpha.value * stats.dsatur < g.n:
             stats.notes.append("covering bound violated (bug)")
     return stats
-
-
-def chi_lower_from_alpha(n: int, alpha: Tagged) -> tuple[int, str]:
-    """Sound chromatic lower bound: ceil(n/alpha) when alpha is exact."""
-    if alpha.exact:
-        return -(-n // alpha.value), TAG_EXACT
-    raise ValueError("ceil(n/alpha) is only a valid chi lower bound for exact alpha")
-
-
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)

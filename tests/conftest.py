@@ -129,6 +129,39 @@ def brute_chi(g: Graph) -> int:
     return n
 
 
+def reference_dsatur(g: Graph) -> tuple[int, tuple[int, ...]]:
+    """DSATUR as a plain loop over per-vertex sets of neighbour colours.
+
+    Picks the uncoloured vertex with the most distinct neighbour colours,
+    then the highest degree, then the lowest index; gives it the smallest
+    colour no neighbour has.  ``dsatur_upper`` must match it exactly.
+    """
+    n = g.n
+    if n == 0:
+        return 0, ()
+    color = [-1] * n
+    neighbor_colors: list[set[int]] = [set() for _ in range(n)]
+    used = 0
+    for _ in range(n):
+        best = -1
+        key = (-1, -1, 0)
+        for v in range(n):
+            if color[v] >= 0:
+                continue
+            cand = (len(neighbor_colors[v]), g.degree(v), -v)
+            if cand > key:
+                key = cand
+                best = v
+        c = 0
+        while c in neighbor_colors[best]:
+            c += 1
+        color[best] = c
+        used = max(used, c + 1)
+        for w in g.neighbors(best):
+            neighbor_colors[w].add(c)
+    return used, tuple(color)
+
+
 def brute_independent(g: Graph, vertices) -> bool:
     vs = list(vertices)
     return all(not g.has_edge(a, b) for a, b in combinations(vs, 2))

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from cliquesub.experiments import OPTIMAL_P
 from cliquesub.graphs import complement, edge_density, gen_gnp, induced, new_graph
 from cliquesub.oracles import (
     Tagged,
@@ -31,6 +32,7 @@ from conftest import (
     path_graph,
     petersen,
     random_graph,
+    reference_dsatur,
 )
 
 
@@ -175,6 +177,23 @@ class TestDsatur:
         for _ in range(200):
             g = random_graph(rng, rng.randint(1, 9))
             assert dsatur_upper(g)[0] >= brute_chi(g)
+
+    def test_matches_reference_loop(self, rng):
+        isolated = new_graph(9, [(0, 3), (3, 5), (5, 0), (6, 7)])
+        graphs = [empty(0), empty(1), empty(7), complete(6), cycle(5), petersen(), isolated]
+        graphs += [random_graph(rng, rng.randint(0, 30)) for _ in range(100)]
+        graphs += [gen_gnp(300, p, s) for s, p in enumerate((0.1, 0.5, OPTIMAL_P, 0.95))]
+        for g in graphs:
+            assert dsatur_upper(g) == reference_dsatur(g), g
+
+    def test_pinned_colour_count_at_n1000(self):
+        # 267 colours is the count of the saturation/degree/index tie-break
+        # order; another tie-break order gives another count.
+        g = gen_gnp(1000, OPTIMAL_P, 0)
+        k, coloring = dsatur_upper(g)
+        assert k == 267
+        assert max(coloring) == k - 1
+        assert all(coloring[u] != coloring[v] for u, v in g.edges())
 
 
 class TestSigmaTiny:
