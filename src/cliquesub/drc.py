@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -392,37 +392,52 @@ def count_disjoint_paths4(
     if target <= 0:
         return 0
 
-    best = 0
+    rows = g.rows
 
     def ub(avail: int) -> int:
         return min(
-            (g.rows[u] & avail).bit_count(),
-            (g.rows[v] & avail).bit_count(),
+            (rows[u] & avail).bit_count(),
+            (rows[v] & avail).bit_count(),
             avail.bit_count() // 3,
         )
 
-    def search(count: int, avail: int, start: tuple[int, int, int]) -> None:
-        nonlocal best
+    # Depth-first packing search on an explicit stack, so the depth (one
+    # level per packed path, up to ``target``) is not bounded by Python's
+    # recursion limit.  Frame i holds the vertices still available after i
+    # paths and the iterator over the next (a, b, c) interiors to try.
+    best = 0
+    stack = [(avail0, _path_interiors(rows, u, v, avail0, 0, 0, 0))]
+    while stack:
+        avail, interiors = stack[-1]
+        step = next(interiors, None)
+        if step is None:
+            stack.pop()
+            continue
+        a, b, c = step
+        count = len(stack)
+        child = avail & ~((1 << a) | (1 << b) | (1 << c))
         if count > best:
             best = count
-        if best >= target or count + ub(avail) <= best:
-            return
-        sa, sb, sc = start
-        for a in bits((g.rows[u] & avail) >> sa << sa):
-            b_floor = sb if a == sa else 0
-            brow = g.rows[a] & avail & ~(1 << a)
-            for b in bits(brow >> b_floor << b_floor):
-                c_floor = sc if (a == sa and b == sb) else 0
-                crow = g.rows[b] & g.rows[v] & avail & ~(1 << a) & ~(1 << b)
-                for c in bits(crow >> c_floor << c_floor):
-                    used = (1 << a) | (1 << b) | (1 << c)
-                    search(count + 1, avail & ~used, (a, b, c + 1))
-                    if best >= target:
-                        return
-            sb = 0
-
-    search(0, avail0, (0, 0, 0))
+            if best >= target:
+                break
+        if count + ub(child) > best:
+            stack.append((child, _path_interiors(rows, u, v, child, a, b, c + 1)))
     return best
+
+
+def _path_interiors(
+    rows: tuple[int, ...], u: int, v: int, avail: int, sa: int, sb: int, sc: int
+) -> Iterator[tuple[int, int, int]]:
+    """Interiors (a, b, c) of u-a-b-c-v paths inside ``avail``, in
+    lexicographic order from (sa, sb, sc) on."""
+    for a in bits((rows[u] & avail) >> sa << sa):
+        b_floor = sb if a == sa else 0
+        brow = rows[a] & avail & ~(1 << a)
+        for b in bits(brow >> b_floor << b_floor):
+            c_floor = sc if (a == sa and b == sb) else 0
+            crow = rows[b] & rows[v] & avail & ~(1 << a) & ~(1 << b)
+            for c in bits(crow >> c_floor << c_floor):
+                yield a, b, c
 
 
 def verify_drc_certificate(g: Graph, cert: DrcCertificate) -> list[tuple[str, bool]]:

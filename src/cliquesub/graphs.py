@@ -166,6 +166,12 @@ def complement(g: Graph) -> Graph:
     return Graph(g.n, rows)
 
 
+def _pack_rows(mat: np.ndarray) -> list[int]:
+    """Adjacency rows of a k x k bool matrix: bit j of row i is ``mat[i, j]``."""
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+
+
 def induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on ``s``.
 
@@ -178,9 +184,7 @@ def induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
             raise ValueError(f"vertex {v} out of range for n={g.n}")
     k = len(sel)
     if k > 256:
-        mat = g.bool_matrix()[np.ix_(sel, sel)]
-        packed = np.packbits(mat, axis=1, bitorder="little")
-        rows = [int.from_bytes(packed[i].tobytes(), "little") for i in range(k)]
+        rows = _pack_rows(g.bool_matrix()[np.ix_(sel, sel)])
     else:
         rows = [0] * k
         for i, u in enumerate(sel):
@@ -203,6 +207,4 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     for i in range(n - 1):
         mat[i, i + 1 :] = rng.random(n - 1 - i) < p
     mat |= mat.T
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    rows = [int.from_bytes(packed[i].tobytes(), "little") for i in range(n)]
-    return Graph(n, rows)
+    return Graph(n, _pack_rows(mat))

@@ -152,6 +152,9 @@ def _max_clique_core(rows: tuple[int, ...], n: int, budget: int) -> Tagged:
                 expand(rmask | (1 << v), rsize + 1, new_cand)
 
     expand(0, 0, full)
+    # expand calls itself through its closure cell, a reference cycle that
+    # would keep ``rows`` alive until the next full gc; unbind it now.
+    del expand
     tag = TAG_EXACT if exhausted else TAG_HEURISTIC
     return Tagged(best_size, tuple(bits(best_mask)), tag, nodes)
 

@@ -12,6 +12,7 @@ from itertools import combinations
 
 import pytest
 
+from cliquesub.graph_io import _GRAPH6_HEADER, ParseError, _g6_decode_n, _g6_encode_n
 from cliquesub.graphs import Graph, bits, new_graph
 
 
@@ -160,6 +161,71 @@ def reference_dsatur(g: Graph) -> tuple[int, tuple[int, ...]]:
         for w in g.neighbors(best):
             neighbor_colors[w].add(c)
     return used, tuple(color)
+
+
+def reference_to_graph6(g: Graph) -> str:
+    """graph6 encoding one bit per step; ``to_graph6`` must match it byte for byte."""
+    out = bytearray(_g6_encode_n(g.n))
+    acc = 0
+    nbits = 0
+    for v in range(1, g.n):
+        row = g.rows[v]
+        for u in range(v):
+            acc = (acc << 1) | ((row >> u) & 1)
+            nbits += 1
+            if nbits == 6:
+                out.append(acc + 63)
+                acc, nbits = 0, 0
+    if nbits:
+        out.append((acc << (6 - nbits)) + 63)
+    return out.decode("ascii")
+
+
+def reference_from_graph6(text: str) -> Graph:
+    """graph6 decoding one bit per step; ``from_graph6`` must give the same
+    graph, and the same ``ParseError`` text and position on bad input."""
+    s = text.strip()
+    if s.startswith(_GRAPH6_HEADER):
+        s = s[len(_GRAPH6_HEADER) :]
+    data = s.encode("ascii", errors="strict")
+    n, off = _g6_decode_n(data)
+    npairs = n * (n - 1) // 2
+    need = (npairs + 5) // 6
+    body = data[off:]
+    if len(body) != need:
+        raise ParseError(
+            f"graph6 body has {len(body)} bytes, expected {need} for n={n}",
+            byte=off + min(len(body), need),
+        )
+    rows = [0] * n
+    idx = 0
+    for b in body:
+        val = b - 63
+        if val < 0 or val > 63:
+            raise ParseError(f"bad graph6 byte {b}", byte=off + idx // 6)
+        for k in range(5, -1, -1):
+            if idx >= npairs:
+                if (val >> k) & 1:
+                    raise ParseError("nonzero padding bits", byte=off + idx // 6)
+                continue
+            if (val >> k) & 1:
+                # column-major upper triangle: pair index -> (u, v)
+                v = _col_of(idx)
+                u = idx - v * (v - 1) // 2
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+            idx += 1
+    return Graph(n, rows)
+
+
+def _col_of(idx: int) -> int:
+    # smallest v with v(v+1)/2 > idx, i.e. the column of pair index idx
+    v = int(((8 * idx + 1) ** 0.5 - 1) / 2) + 1
+    while v * (v - 1) // 2 > idx:
+        v -= 1
+    while (v + 1) * v // 2 <= idx:
+        v += 1
+    return v
 
 
 def brute_independent(g: Graph, vertices) -> bool:

@@ -1,3 +1,5 @@
+import gc
+import sys
 from fractions import Fraction
 from itertools import permutations
 
@@ -183,6 +185,25 @@ class TestCountDisjointPaths:
             assert count_disjoint_paths4(g, u, v, forb) == brute_max_disjoint_paths4(
                 g, u, v, forb
             )
+
+    def test_deep_packing_beyond_recursion_limit(self):
+        # the search goes one level deeper per packed path; 1332 levels is
+        # past Python's default limit of 1000 frames
+        g = gen_gnp(4000, 0.99, 0)
+        assert count_disjoint_paths4(g, 0, 1) == 1332
+
+    def test_returns_without_holding_the_graph(self):
+        g = gen_gnp(40, 0.5, 1)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = sys.getrefcount(g)
+            count_disjoint_paths4(g, 0, 1)
+            after = sys.getrefcount(g)
+            assert after == before
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_endpoint_validations(self):
         g = complete(5)

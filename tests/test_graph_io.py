@@ -12,7 +12,13 @@ from cliquesub.graph_io import (
     write_graph,
 )
 from cliquesub.graphs import gen_gnp, new_graph
-from conftest import complete, cycle, random_graph
+from conftest import (
+    complete,
+    cycle,
+    random_graph,
+    reference_from_graph6,
+    reference_to_graph6,
+)
 
 
 class TestGraph6:
@@ -41,8 +47,43 @@ class TestGraph6:
             from_graph6("D?")
 
     def test_bad_size_byte(self):
-        with pytest.raises(ParseError):
-            from_graph6("\x1c??")
+        # size byte 62 would mean n = -1
+        with pytest.raises(ParseError, match="size byte") as info:
+            from_graph6(">??")
+        assert info.value.byte == 0
+
+    def test_non_ascii_is_parse_error(self):
+        with pytest.raises(ParseError, match="non-ASCII") as info:
+            from_graph6(">>graph6<<D\u00e9{")
+        assert info.value.byte == 1
+
+    def test_matches_reference_codec(self, rng):
+        graphs = [random_graph(rng, n) for n in range(71)]
+        # the size field grows from 1 to 4 bytes at n = 63
+        graphs += [gen_gnp(n, p, n) for n in (62, 63) for p in (0.0, 0.5, 1.0)]
+        residues = {g.n * (g.n - 1) // 2 % 6 for g in graphs}
+        # triangular numbers mod 6 take only these values
+        assert residues == {n * (n - 1) // 2 % 6 for n in range(12)} == {0, 1, 3, 4}
+        for g in graphs:
+            text = to_graph6(g)
+            assert text == reference_to_graph6(g)
+            assert from_graph6(text) == reference_from_graph6(text) == g
+            assert from_graph6(">>graph6<<" + text + "\n") == g
+
+    def test_matches_reference_codec_at_n2000(self):
+        g = gen_gnp(2000, 0.95, 0)
+        text = to_graph6(g)
+        assert g._mat is None  # encoding leaves the matrix cache empty
+        assert text == reference_to_graph6(g)
+        assert from_graph6(text) == reference_from_graph6(text) == g
+
+    @pytest.mark.parametrize("text", ["D?", "D ?{", "D?\x7f", "D\x7f{", "D?|", "~??~"])
+    def test_errors_match_reference_codec(self, text):
+        with pytest.raises(ParseError) as ref:
+            reference_from_graph6(text)
+        with pytest.raises(ParseError) as got:
+            from_graph6(text)
+        assert (str(got.value), got.value.byte) == (str(ref.value), ref.value.byte)
 
     @given(st.integers(0, 17), st.randoms(use_true_random=False))
     @settings(max_examples=60, deadline=None)

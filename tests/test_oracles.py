@@ -1,4 +1,6 @@
+import gc
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -97,6 +99,19 @@ class TestAlphaOmega:
         res = alpha_exact(g, budget=10)
         assert res.tag == "heuristic"
         assert brute_independent(g, res.witness)  # still a valid lower bound
+
+    def test_returns_without_holding_the_rows(self):
+        g = gen_gnp(40, 0.5, 1)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            before = sys.getrefcount(g.rows)
+            omega_exact(g)
+            after = sys.getrefcount(g.rows)
+            assert after == before
+        finally:
+            if enabled:
+                gc.enable()
 
     def test_greedy_clique_lower_sound(self, rng):
         for _ in range(100):
