@@ -98,8 +98,13 @@ def _cell(
         cert = sigma_upper_cert(g, omega)
         if cert is not None:
             sigma_upper_t = cert.t
+    # hand alpha down only where it is the result the pipeline's own
+    # search, with its own budget, would return
+    same_search = budgets.alpha_nodes == params.alpha_budget or (
+        alpha.exact and alpha.nodes <= params.alpha_budget
+    )
     try:
-        report = sigma_lower_auto(g, params, seed)
+        report = sigma_lower_auto(g, params, seed, alpha if same_search else None)
         if report.certificate is not None and report.certificate.verified:
             sigma_lower = max(1, report.certificate.order)
         else:

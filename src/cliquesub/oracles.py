@@ -98,7 +98,19 @@ def _improve_swaps(rows: tuple[int, ...], n: int, clique: int, full: int) -> int
 
 
 def _max_clique_core(rows: tuple[int, ...], n: int, budget: int) -> Tagged:
-    """Branch-and-bound maximum clique with greedy-coloring pruning."""
+    """Branch-and-bound maximum clique with greedy-coloring pruning.
+
+    A node colours its candidates greedily, lowest index first, one colour
+    class at a time, and branches on them from the highest colour down
+    until rsize + colour <= best_size.  Only vertices coloured above
+    kmin = best_size - rsize at node entry are listed for branching
+    (Konc & Janezic, MaxCliqueDyn, 2007): best_size never falls, so the
+    branching loop would stop at the first vertex at or below kmin, and
+    skipping them leaves the search tree, the node count and the witness
+    unchanged.  A branch on v gets v's neighbours among the candidates
+    ordered before v, unlisted ones included: ``remaining`` is ``cand``
+    without v and the vertices listed after it.
+    """
     full = (1 << n) - 1
     if n == 0:
         return Tagged(0, (), TAG_EXACT, 0)
@@ -107,24 +119,8 @@ def _max_clique_core(rows: tuple[int, ...], n: int, budget: int) -> Tagged:
     best_mask = incumbent
     nodes = 0
     exhausted = True
-
-    def color_sort(cand: int) -> tuple[list[int], list[int]]:
-        order: list[int] = []
-        colors: list[int] = []
-        uncolored = cand
-        c = 0
-        while uncolored:
-            c += 1
-            avail = uncolored
-            while avail:
-                low = avail & -avail
-                v = low.bit_length() - 1
-                order.append(v)
-                colors.append(c)
-                avail &= ~rows[v]
-                avail ^= low
-                uncolored ^= low
-        return order, colors
+    # one AND drops a coloured vertex and its neighbours from its class
+    nrows = [~(row | 1 << v) for v, row in enumerate(rows)]
 
     def expand(rmask: int, rsize: int, cand: int) -> None:
         nonlocal best_size, best_mask, nodes, exhausted
@@ -132,19 +128,36 @@ def _max_clique_core(rows: tuple[int, ...], n: int, budget: int) -> Tagged:
         if nodes > budget:
             exhausted = False
             return
-        order, colors = color_sort(cand)
-        prefix = 0
-        prefixes = []
-        for v in order:
-            prefixes.append(prefix)
-            prefix |= 1 << v
+        kmin = best_size - rsize
+        order: list[int] = []
+        colors: list[int] = []
+        uncolored = cand
+        c = 0
+        while uncolored:
+            c += 1
+            avail = uncolored
+            if c > kmin:
+                while avail:
+                    low = avail & -avail
+                    v = low.bit_length() - 1
+                    order.append(v)
+                    colors.append(c)
+                    avail &= nrows[v]
+                    uncolored ^= low
+            else:
+                while avail:
+                    low = avail & -avail
+                    avail &= nrows[low.bit_length() - 1]
+                    uncolored ^= low
+        remaining = cand
         for i in range(len(order) - 1, -1, -1):
             if not exhausted:
                 return
             if rsize + colors[i] <= best_size:
                 return
             v = order[i]
-            new_cand = prefixes[i] & rows[v]
+            remaining ^= 1 << v
+            new_cand = remaining & rows[v]
             if rsize + 1 > best_size:
                 best_size = rsize + 1
                 best_mask = rmask | (1 << v)
@@ -299,7 +312,12 @@ def _try_k_coloring(g: Graph, k: int, budget: list[int]) -> Optional[tuple[int, 
                 return res
         return None
 
-    return assign(0, 0)
+    try:
+        return assign(0, 0)
+    finally:
+        # assign calls itself through its closure cell, a cycle that would
+        # keep ``order`` and its arrays alive until the next full gc
+        del assign
 
 
 def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ColoringResult:
@@ -353,7 +371,12 @@ def _paths_fixed_length(g: Graph, u: int, v: int, avail: int, length: int):
             yield from extend(w, path, remaining - 1, used | (1 << w))
             path.pop()
 
-    yield from extend(u, [u], interior_len, 0)
+    try:
+        yield from extend(u, [u], interior_len, 0)
+    finally:
+        # runs when the generator finishes or is dropped: extend calls
+        # itself through its closure cell, a cycle that would keep g alive
+        del extend
 
 
 def sigma_exact_tiny(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> SigmaSearchResult:
@@ -399,29 +422,34 @@ def sigma_exact_tiny(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> SigmaSea
         return False
 
     full = g.full_mask()
-    for S in combinations(eligible, t):
-        nodes += 1
-        if nodes > budget:
-            return SigmaSearchResult("exceeded", nodes=nodes)
-        smask = 0
-        for v in S:
-            smask |= 1 << v
-        pairs = [
-            (a, b)
-            for a, b in combinations(sorted(S), 2)
-            if not g.has_edge(a, b)
-        ]
-        chosen: dict = {}
-        res = pack(pairs, 0, full & ~smask, chosen)
-        if res == "exceeded":
-            return SigmaSearchResult("exceeded", nodes=nodes)
-        if res is True:
-            cert = SubdivisionCertificate(
-                branch=tuple(sorted(S)),
-                paths={p: chosen[p] for p in sorted(chosen)},
-            )
-            return SigmaSearchResult("yes", cert, nodes)
-    return SigmaSearchResult("no", nodes=nodes)
+    try:
+        for S in combinations(eligible, t):
+            nodes += 1
+            if nodes > budget:
+                return SigmaSearchResult("exceeded", nodes=nodes)
+            smask = 0
+            for v in S:
+                smask |= 1 << v
+            pairs = [
+                (a, b)
+                for a, b in combinations(sorted(S), 2)
+                if not g.has_edge(a, b)
+            ]
+            chosen: dict = {}
+            res = pack(pairs, 0, full & ~smask, chosen)
+            if res == "exceeded":
+                return SigmaSearchResult("exceeded", nodes=nodes)
+            if res is True:
+                cert = SubdivisionCertificate(
+                    branch=tuple(sorted(S)),
+                    paths={p: chosen[p] for p in sorted(chosen)},
+                )
+                return SigmaSearchResult("yes", cert, nodes)
+        return SigmaSearchResult("no", nodes=nodes)
+    finally:
+        # pack calls itself through its closure cell, a cycle that would
+        # keep g alive until the next full gc
+        del pack
 
 
 def sigma_exact_value(

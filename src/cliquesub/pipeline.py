@@ -295,6 +295,7 @@ def sigma_lower_sparse(
     params: PipelineParams,
     depth: int = 0,
     seed: int = 0,
+    alpha: Optional[Tagged] = None,
 ) -> BoundReport:
     """Sparse-case bound: degree filter, independence filter, extraction,
     with a recursion when the filtered subgraph loses a density factor 10.
@@ -302,6 +303,11 @@ def sigma_lower_sparse(
     Mirrors the proof's case analysis; every branch decision lands in the
     transcript.  Paper mode refuses unless alpha <= n/2, d <= c and
     d*alpha*log(1/d) <= log(n)/100.
+
+    ``alpha``, when given, must equal ``alpha_exact(g, params.alpha_budget)``
+    (value, witness, tag and nodes); it is searched for here otherwise.
+    When the degree filter keeps every vertex, the filtered graph is g and
+    this result also serves as its independent set.
     """
     n, m = g.n, g.m
     d = edge_density(g).fraction
@@ -313,7 +319,8 @@ def sigma_lower_sparse(
     if n == 0:
         return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
 
-    alpha = alpha_exact(g, params.alpha_budget)
+    if alpha is None:
+        alpha = alpha_exact(g, params.alpha_budget)
     a_val = alpha.value
     if not alpha.exact:
         flags.append("heuristic-alpha")
@@ -359,8 +366,11 @@ def sigma_lower_sparse(
         return rep
 
     v_prime = _degree_filter(g)
-    g_prime, map_prime = induced(g, v_prime)
-    i_local = alpha_exact(g_prime, params.alpha_budget)
+    if len(v_prime) == n:
+        i_local, map_prime = alpha, v_prime
+    else:
+        g_prime, map_prime = induced(g, v_prime)
+        i_local = alpha_exact(g_prime, params.alpha_budget)
     if not i_local.exact:
         flags.append("heuristic-independent-set")
     i_labels = tuple(sorted(map_prime[v] for v in i_local.witness))
@@ -476,20 +486,26 @@ def sigma_lower_sparse(
 
 
 def sigma_lower_auto(
-    g: Graph, params: PipelineParams, seed: int = 0
+    g: Graph, params: PipelineParams, seed: int = 0, alpha: Optional[Tagged] = None
 ) -> BoundReport:
-    """Dispatch: dense extraction when its gate holds, sparse otherwise."""
+    """Dispatch: dense extraction when its gate holds, sparse otherwise.
+
+    ``alpha``, when given, must equal ``alpha_exact(g, params.alpha_budget)``
+    (value, witness, tag and nodes); it is searched for here otherwise, and
+    either way handed to the route taken.
+    """
     d = edge_density(g).fraction
     if g.n == 0:
         return BoundReport(0, PROV_TRIVIAL)
-    alpha = alpha_exact(g, params.alpha_budget)
+    if alpha is None:
+        alpha = alpha_exact(g, params.alpha_budget)
     if alpha.exact and alpha.value <= 1:
         return sigma_lower_dense(g, alpha, params, seed)
     if params.mode == "practical" and d * d * g.n >= 1600:
         report = sigma_lower_dense(g, alpha, params, seed)
         report.transcript.insert(0, {"step": "auto", "route": "dense"})
         return report
-    report = sigma_lower_sparse(g, params, 0, seed)
+    report = sigma_lower_sparse(g, params, 0, seed, alpha)
     report.transcript.insert(0, {"step": "auto", "route": "sparse"})
     return report
 

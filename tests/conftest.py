@@ -7,6 +7,7 @@ computed with these.
 
 from __future__ import annotations
 
+import gc
 import random
 from itertools import combinations
 
@@ -14,6 +15,13 @@ import pytest
 
 from cliquesub.graph_io import _GRAPH6_HEADER, ParseError, _g6_decode_n, _g6_encode_n
 from cliquesub.graphs import Graph, bits, new_graph
+from cliquesub.oracles import (
+    TAG_EXACT,
+    TAG_HEURISTIC,
+    Tagged,
+    _greedy_clique,
+    _improve_swaps,
+)
 
 
 def complete(n: int) -> Graph:
@@ -163,6 +171,71 @@ def reference_dsatur(g: Graph) -> tuple[int, tuple[int, ...]]:
     return used, tuple(color)
 
 
+def reference_max_clique_core(rows: tuple[int, ...], n: int, budget: int) -> Tagged:
+    """Branch-and-bound maximum clique with greedy-coloring pruning: the
+    search that ``_max_clique_core`` replaced, which colours and lists every
+    candidate at every node.  ``_max_clique_core`` must return the same
+    ``Tagged``, node count and witness included."""
+    full = (1 << n) - 1
+    if n == 0:
+        return Tagged(0, (), TAG_EXACT, 0)
+    incumbent = _improve_swaps(rows, n, _greedy_clique(rows, n, full), full)
+    best_size = incumbent.bit_count()
+    best_mask = incumbent
+    nodes = 0
+    exhausted = True
+
+    def color_sort(cand: int) -> tuple[list[int], list[int]]:
+        order: list[int] = []
+        colors: list[int] = []
+        uncolored = cand
+        c = 0
+        while uncolored:
+            c += 1
+            avail = uncolored
+            while avail:
+                low = avail & -avail
+                v = low.bit_length() - 1
+                order.append(v)
+                colors.append(c)
+                avail &= ~rows[v]
+                avail ^= low
+                uncolored ^= low
+        return order, colors
+
+    def expand(rmask: int, rsize: int, cand: int) -> None:
+        nonlocal best_size, best_mask, nodes, exhausted
+        nodes += 1
+        if nodes > budget:
+            exhausted = False
+            return
+        order, colors = color_sort(cand)
+        prefix = 0
+        prefixes = []
+        for v in order:
+            prefixes.append(prefix)
+            prefix |= 1 << v
+        for i in range(len(order) - 1, -1, -1):
+            if not exhausted:
+                return
+            if rsize + colors[i] <= best_size:
+                return
+            v = order[i]
+            new_cand = prefixes[i] & rows[v]
+            if rsize + 1 > best_size:
+                best_size = rsize + 1
+                best_mask = rmask | (1 << v)
+            if new_cand:
+                expand(rmask | (1 << v), rsize + 1, new_cand)
+
+    expand(0, 0, full)
+    # expand calls itself through its closure cell, a reference cycle that
+    # would keep ``rows`` alive until the next full gc; unbind it now.
+    del expand
+    tag = TAG_EXACT if exhausted else TAG_HEURISTIC
+    return Tagged(best_size, tuple(bits(best_mask)), tag, nodes)
+
+
 def reference_to_graph6(g: Graph) -> str:
     """graph6 encoding one bit per step; ``to_graph6`` must match it byte for byte."""
     out = bytearray(_g6_encode_n(g.n))
@@ -231,6 +304,17 @@ def _col_of(idx: int) -> int:
 def brute_independent(g: Graph, vertices) -> bool:
     vs = list(vertices)
     return all(not g.has_edge(a, b) for a, b in combinations(vs, 2))
+
+
+@pytest.fixture
+def gc_off():
+    """The cycle collector stays off for the test, so anything kept alive
+    only by a reference cycle still shows in refcounts and ``gc.get_objects``."""
+    enabled = gc.isenabled()
+    gc.disable()
+    yield
+    if enabled:
+        gc.enable()
 
 
 @pytest.fixture

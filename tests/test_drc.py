@@ -1,4 +1,3 @@
-import gc
 import sys
 from fractions import Fraction
 from itertools import permutations
@@ -192,18 +191,12 @@ class TestCountDisjointPaths:
         g = gen_gnp(4000, 0.99, 0)
         assert count_disjoint_paths4(g, 0, 1) == 1332
 
-    def test_returns_without_holding_the_graph(self):
+    def test_returns_without_holding_the_graph(self, gc_off):
         g = gen_gnp(40, 0.5, 1)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            before = sys.getrefcount(g)
-            count_disjoint_paths4(g, 0, 1)
-            after = sys.getrefcount(g)
-            assert after == before
-        finally:
-            if enabled:
-                gc.enable()
+        before = sys.getrefcount(g)
+        count_disjoint_paths4(g, 0, 1)
+        after = sys.getrefcount(g)
+        assert after == before
 
     def test_endpoint_validations(self):
         g = complete(5)

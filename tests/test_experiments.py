@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from cliquesub import experiments, pipeline
 from cliquesub.experiments import (
     OPTIMAL_P,
     ExperimentRecord,
@@ -12,6 +13,8 @@ from cliquesub.experiments import (
     records_from_json,
     run_ratio_sweep,
 )
+from cliquesub.oracles import alpha_exact
+from cliquesub.pipeline import PipelineParams
 
 
 class TestRecords:
@@ -94,3 +97,56 @@ class TestViolationSearch:
         rec, log = find_certified_ratio_violation([40], budgets=budgets)
         assert rec is None
         assert any("omega not exact" in line for line in log)
+
+
+class TestAlphaReuse:
+    # (chi_upper, chi_lower, chi_lower_tag, sigma_lower, sigma_upper_t) on
+    # G(200, 1 - e^-2, seed), measured when a cell searched for alpha four
+    # times: in the cell, in sigma_lower_auto, at sparse entry and on g'
+    PINNED = {
+        0: (67, 40, "exact", 19, None),
+        1: (65, 40, "exact", 19, None),
+        2: (69, 40, "exact", 19, None),
+    }
+    BUDGETS = SweepBudgets(omega_nodes=2_000)
+
+    @staticmethod
+    def count_alpha_searches(monkeypatch) -> list[int]:
+        """Orders of the graphs that the sweep and the pipeline search."""
+        calls = []
+
+        def counted(g, budget):
+            calls.append(g.n)
+            return alpha_exact(g, budget)
+
+        monkeypatch.setattr(experiments, "alpha_exact", counted)
+        monkeypatch.setattr(pipeline, "alpha_exact", counted)
+        return calls
+
+    @pytest.mark.parametrize("seed", sorted(PINNED))
+    def test_one_search_per_cell(self, monkeypatch, seed):
+        calls = self.count_alpha_searches(monkeypatch)
+        (r,) = run_ratio_sweep([200], OPTIMAL_P, 1, self.BUDGETS, base_seed=seed)
+        assert calls == [200]
+        got = (r.chi_upper, r.chi_lower, r.chi_lower_tag, r.sigma_lower, r.sigma_upper_t)
+        assert got == self.PINNED[seed]
+
+    def test_handed_down_only_when_the_pipeline_would_find_it(self, monkeypatch):
+        calls = self.count_alpha_searches(monkeypatch)
+        # exact within a smaller sweep budget: the pipeline's search with
+        # its own budget returns the same result
+        budgets = SweepBudgets(alpha_nodes=100_000, omega_nodes=2_000)
+        (r,) = run_ratio_sweep([200], OPTIMAL_P, 1, budgets)
+        assert calls == [200]
+        assert r.chi_lower_tag == "exact" and r.sigma_lower == self.PINNED[0][3]
+        # cut short by the sweep's budget: the pipeline searches again
+        calls.clear()
+        budgets = SweepBudgets(alpha_nodes=5, omega_nodes=2_000)
+        (r,) = run_ratio_sweep([200], OPTIMAL_P, 1, budgets)
+        assert calls == [200, 200]
+        assert r.chi_lower_tag == "heuristic"
+        # exact, but past the pipeline's smaller budget: searched again
+        calls.clear()
+        params = PipelineParams.practical(alpha_budget=5)
+        run_ratio_sweep([200], OPTIMAL_P, 1, self.BUDGETS, params)
+        assert calls == [200, 200]

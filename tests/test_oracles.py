@@ -8,7 +8,10 @@ import pytest
 from cliquesub.experiments import OPTIMAL_P
 from cliquesub.graphs import complement, edge_density, gen_gnp, induced, new_graph
 from cliquesub.oracles import (
+    DEFAULT_BUDGET,
     Tagged,
+    _max_clique_core,
+    _SaturationOrder,
     alpha_exact,
     chi_exact,
     dsatur_upper,
@@ -35,6 +38,7 @@ from conftest import (
     petersen,
     random_graph,
     reference_dsatur,
+    reference_max_clique_core,
 )
 
 
@@ -100,18 +104,38 @@ class TestAlphaOmega:
         assert res.tag == "heuristic"
         assert brute_independent(g, res.witness)  # still a valid lower bound
 
-    def test_returns_without_holding_the_rows(self):
+    def test_returns_without_holding_the_rows(self, gc_off):
         g = gen_gnp(40, 0.5, 1)
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            before = sys.getrefcount(g.rows)
-            omega_exact(g)
-            after = sys.getrefcount(g.rows)
-            assert after == before
-        finally:
-            if enabled:
-                gc.enable()
+        before = sys.getrefcount(g.rows)
+        omega_exact(g)
+        after = sys.getrefcount(g.rows)  # outside the assert, which holds its operands
+        assert after == before
+
+    def test_matches_reference_core(self, rng):
+        # whole-Tagged equality: value, witness, tag and node count
+        for _ in range(300):
+            n = rng.randint(0, 60)
+            g = random_graph(rng, n)
+            for rows in (g.rows, complement(g).rows):
+                for budget in (5, 50, DEFAULT_BUDGET):
+                    got = _max_clique_core(rows, n, budget)
+                    assert got == reference_max_clique_core(rows, n, budget), (n, budget)
+
+    def test_matches_reference_core_at_mid_scale(self):
+        for g in (gen_gnp(300, OPTIMAL_P, 2), gen_gnp(150, 0.9, 3)):
+            for rows in (g.rows, complement(g).rows):
+                got = _max_clique_core(rows, g.n, 40_000)
+                assert got == reference_max_clique_core(rows, g.n, 40_000)
+
+    def test_pinned_searches_at_n1000(self):
+        # values and node counts of the search that lists every candidate
+        g = gen_gnp(1000, OPTIMAL_P, 3)
+        omega = omega_exact(g, 30_000)
+        assert (omega.value, omega.tag, omega.nodes) == (44, "heuristic", 30_001)
+        assert brute_independent(complement(g), omega.witness)
+        alpha = alpha_exact(g)
+        assert (alpha.value, alpha.tag, alpha.nodes) == (6, "exact", 12_791)
+        assert brute_independent(g, alpha.witness) and len(alpha.witness) == 6
 
     def test_greedy_clique_lower_sound(self, rng):
         for _ in range(100):
@@ -119,6 +143,30 @@ class TestAlphaOmega:
             got = greedy_clique_lower(g)
             assert brute_independent(complement(g), got.witness)
             assert got.value <= brute_omega(g)
+
+
+def networkx_clique_number(g) -> int:
+    nx = pytest.importorskip("networkx")
+    h = nx.Graph()
+    h.add_nodes_from(range(g.n))
+    h.add_edges_from(g.edges())
+    return nx.max_weight_clique(h, weight=None)[1]
+
+
+class TestAgainstNetworkx:
+    CASES = [(60, p) for p in (0.1, 0.3, 0.5, 0.7, 0.9)]
+    CASES += [(n, p) for n in (100, 150) for p in (0.3, 0.5, 0.7)]
+
+    @pytest.mark.parametrize("n,p", CASES)
+    def test_alpha_and_omega(self, n, p):
+        g = gen_gnp(n, p, n)
+        alpha, omega = alpha_exact(g), omega_exact(g)
+        assert alpha.exact and omega.exact
+        assert alpha.value == networkx_clique_number(complement(g))
+        assert omega.value == networkx_clique_number(g)
+        assert brute_independent(g, alpha.witness) and len(alpha.witness) == alpha.value
+        assert brute_independent(complement(g), omega.witness)
+        assert len(omega.witness) == omega.value
 
 
 class TestChi:
@@ -156,6 +204,10 @@ class TestChi:
             assert chi >= omega_exact(g).value
             a = alpha_exact(g).value
             assert chi * a >= g.n
+
+    def test_returns_without_keeping_the_search_state(self, gc_off):
+        chi_exact(gen_gnp(30, 0.5, 1))
+        assert not any(isinstance(o, _SaturationOrder) for o in gc.get_objects())
 
     def test_budget_exceeded_interval(self):
         g = gen_gnp(40, 0.5, 3)
@@ -259,6 +311,14 @@ class TestSigmaTiny:
             sub = rng.sample(range(n), rng.randint(1, n))
             h, _ = induced(g, sub)
             assert sigma_exact_value(h)[0].value <= sigma_exact_value(g)[0].value
+
+    def test_returns_without_holding_the_graph(self, gc_off):
+        h = gen_gnp(8, 0.6, 2)
+        before = sys.getrefcount(h)
+        assert sigma_exact_tiny(h, 4).status == "yes"
+        assert sigma_exact_tiny(h, 5).status == "no"
+        after = sys.getrefcount(h)
+        assert after == before
 
     def test_budget_third_state(self):
         g = gen_gnp(12, 0.5, 0)

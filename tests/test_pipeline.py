@@ -3,6 +3,8 @@ import math
 
 import pytest
 
+from cliquesub import pipeline
+from cliquesub.experiments import OPTIMAL_P
 from cliquesub.graphs import complement, edge_density, gen_gnp, new_graph
 from cliquesub.oracles import alpha_exact, sigma_exact_value
 from cliquesub.pipeline import (
@@ -216,6 +218,21 @@ class TestSparseBranches:
         except PreconditionRefusal as exc:
             assert exc.requirement == REQ_SPARSE_D
 
+    def test_given_alpha_still_searches_a_smaller_filtered_graph(self, monkeypatch):
+        g = hub_periphery_graph()  # the degree filter keeps 400 of 500
+        params = PipelineParams.practical()
+        alpha = alpha_exact(g, params.alpha_budget)
+        expected = sigma_lower_sparse(g, params).to_json_dict()
+        searched = []
+
+        def counted(h, budget):
+            searched.append(h.n)
+            return alpha_exact(h, budget)
+
+        monkeypatch.setattr(pipeline, "alpha_exact", counted)
+        assert sigma_lower_sparse(g, params, alpha=alpha).to_json_dict() == expected
+        assert searched[0] == 400 and 500 not in searched
+
     def test_recursion_terminates_with_depth_cap(self):
         g = gen_gnp(900, 0.4, 4)
         params = PipelineParams.practical(max_depth=0, alpha_budget=120_000)
@@ -233,6 +250,14 @@ class TestAuto:
         g = gen_gnp(300, 0.5, 3)
         rep = sigma_lower_auto(g, PipelineParams.practical())
         assert rep.transcript[0] == {"step": "auto", "route": "sparse"}
+
+    def test_given_alpha_gives_the_same_report(self):
+        params = PipelineParams.practical()
+        for seed in (0, 1):
+            g = gen_gnp(200, OPTIMAL_P, seed)
+            alpha = alpha_exact(g, params.alpha_budget)
+            with_alpha = sigma_lower_auto(g, params, seed, alpha).to_json_dict()
+            assert with_alpha == sigma_lower_auto(g, params, seed).to_json_dict()
 
     def test_small_graph_bounds_respect_exact_sigma(self, rng):
         for _ in range(40):
