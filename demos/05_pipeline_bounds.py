@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """The composed pipeline, in both of its moods.
 
-Paper mode is a faithful executable of the proven statements: at desk
-scale it refuses, naming the failed hypothesis.  Practical mode runs the
-same control flow with achievable parameters and hands back a verified
-certificate.  The pure-arithmetic calculators evaluate the two-regime
+Paper mode checks the hypotheses of the proven statements: at desk scale
+it refuses, naming the failed hypothesis.  Practical mode checks only the
+extraction gate, runs the shared extract and build steps and hands back a
+verified certificate.  The pure-arithmetic calculators evaluate the two-regime
 lower-bound formula and replay the ratio-bound induction step.
 """
 

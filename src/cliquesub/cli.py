@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import __version__
@@ -88,7 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bounds.add_argument("--n", type=float, required=True)
     bounds.add_argument("--alpha", type=int)
     bounds.add_argument("--k", type=float, help="chromatic number for the induction check")
-    bounds.add_argument("--mode", choices=["paper", "practical"], default="paper")
     return top
 
 
@@ -182,9 +180,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "bounds":
-            params = (
-                PipelineParams.paper() if args.mode == "paper" else PipelineParams.practical()
-            )
+            params = PipelineParams()
             if args.alpha is not None:
                 fb = subdivision_bound_dispatch(int(args.n), args.alpha, params)
                 print(f"regime: {fb.regime}")

@@ -11,7 +11,6 @@ product, which is what makes the scan feasible at n ~ 6400.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
@@ -270,92 +269,6 @@ def _measure_path_bound(
 # internally disjoint length-4 path packing
 
 
-class _Dinic:
-    def __init__(self, size: int):
-        self.size = size
-        self.head: list[list[int]] = [[] for _ in range(size)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add(self, u: int, v: int, c: int) -> None:
-        self.head[u].append(len(self.to))
-        self.to.append(v)
-        self.cap.append(c)
-        self.head[v].append(len(self.to))
-        self.to.append(u)
-        self.cap.append(0)
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = [-1] * self.size
-            level[s] = 0
-            queue = [s]
-            for u in queue:
-                for e in self.head[u]:
-                    if self.cap[e] > 0 and level[self.to[e]] < 0:
-                        level[self.to[e]] = level[u] + 1
-                        queue.append(self.to[e])
-            if level[t] < 0:
-                return flow
-            it = [0] * self.size
-
-            def dfs(u: int, pushed: int) -> int:
-                if u == t:
-                    return pushed
-                while it[u] < len(self.head[u]):
-                    e = self.head[u][it[u]]
-                    v = self.to[e]
-                    if self.cap[e] > 0 and level[v] == level[u] + 1:
-                        got = dfs(v, min(pushed, self.cap[e]))
-                        if got:
-                            self.cap[e] -= got
-                            self.cap[e ^ 1] += got
-                            return got
-                    it[u] += 1
-                return 0
-
-            while True:
-                pushed = dfs(s, 1 << 60)
-                if not pushed:
-                    break
-                flow += pushed
-
-
-def _typed_flow_bound(
-    g: Graph, u: int, v: int, amask: int, bmask: int, cmask: int
-) -> int:
-    """Relaxed upper bound: max flow where each vertex has unit capacity per
-    layer role (a shared-capacity formulation is not expressible as plain
-    flow; the relaxation is only used as a bound)."""
-    a_list = list(bits(amask))
-    b_list = list(bits(bmask))
-    c_list = list(bits(cmask))
-    na, nb, nc = len(a_list), len(b_list), len(c_list)
-    # node ids: 0=s, 1=t, then in/out per role copy
-    base_a = 2
-    base_b = base_a + 2 * na
-    base_c = base_b + 2 * nb
-    net = _Dinic(base_c + 2 * nc)
-    for i, a in enumerate(a_list):
-        net.add(0, base_a + 2 * i, 1)
-        net.add(base_a + 2 * i, base_a + 2 * i + 1, 1)
-    b_index = {b: i for i, b in enumerate(b_list)}
-    c_index = {c: i for i, c in enumerate(c_list)}
-    for i, b in enumerate(b_list):
-        net.add(base_b + 2 * i, base_b + 2 * i + 1, 1)
-    for i, c in enumerate(c_list):
-        net.add(base_c + 2 * i, base_c + 2 * i + 1, 1)
-        net.add(base_c + 2 * i + 1, 1, 1)
-    for i, a in enumerate(a_list):
-        for b in bits(g.rows[a] & bmask & ~(1 << a)):
-            net.add(base_a + 2 * i + 1, base_b + 2 * b_index[b], 1)
-    for i, b in enumerate(b_list):
-        for c in bits(g.rows[b] & cmask & ~(1 << b)):
-            net.add(base_b + 2 * i + 1, base_c + 2 * c_index[c], 1)
-    return net.max_flow(0, 1)
-
-
 def count_disjoint_paths4(
     g: Graph,
     u: int,
@@ -366,11 +279,11 @@ def count_disjoint_paths4(
     """Maximum number of internally vertex-disjoint u-v paths with exactly
     4 edges whose interiors avoid ``forbidden``.
 
-    Exact: a complete backtracking packing search, cut by an upper bound
-    (a layered-flow relaxation when the instance is small enough, a cheap
-    counting bound otherwise).  With ``limit`` the search stops as soon as
-    ``limit`` disjoint paths are found and returns ``min(maximum, limit)``,
-    which is how callers should use it on large graphs.
+    Exact: a complete backtracking packing search, cut by a counting bound
+    (each path uses a neighbour of u, a neighbour of v and three interior
+    vertices).  With ``limit`` the search stops as soon as ``limit``
+    disjoint paths are found and returns ``min(maximum, limit)``, which is
+    how callers should use it on large graphs.
     """
     if u == v:
         raise ValueError("endpoints must differ")
@@ -378,20 +291,6 @@ def count_disjoint_paths4(
     if (fmask >> u) & 1 or (fmask >> v) & 1:
         raise ValueError("endpoints may not be forbidden")
     avail0 = g.full_mask() & ~fmask & ~(1 << u) & ~(1 << v)
-    amask0 = g.rows[u] & avail0
-    cmask0 = g.rows[v] & avail0
-    cheap = min(amask0.bit_count(), cmask0.bit_count(), avail0.bit_count() // 3)
-    if limit is not None:
-        target = min(limit, cheap)
-    else:
-        edges_est = amask0.bit_count() * avail0.bit_count() + avail0.bit_count() * cmask0.bit_count()
-        if edges_est <= 3_000_000:
-            target = min(cheap, _typed_flow_bound(g, u, v, amask0, avail0, cmask0))
-        else:
-            target = cheap
-    if target <= 0:
-        return 0
-
     rows = g.rows
 
     def ub(avail: int) -> int:
@@ -400,6 +299,12 @@ def count_disjoint_paths4(
             (rows[v] & avail).bit_count(),
             avail.bit_count() // 3,
         )
+
+    target = ub(avail0)
+    if limit is not None:
+        target = min(target, limit)
+    if target <= 0:
+        return 0
 
     # Depth-first packing search on an explicit stack, so the depth (one
     # level per packed path, up to ``target``) is not bounded by Python's

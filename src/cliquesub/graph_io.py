@@ -176,7 +176,7 @@ def from_graph6(text: str) -> Graph:
         col = bits[v * (v - 1) // 2 : v * (v + 1) // 2]
         mat[v, :v] = col
         mat[:v, v] = col
-    return Graph(n, _pack_rows(mat))
+    return Graph._trusted(n, _pack_rows(mat))
 
 
 PathOrFile = Union[str, Path, io.TextIOBase]

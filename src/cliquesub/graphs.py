@@ -20,11 +20,6 @@ __all__ = [
     "vertex_mask",
 ]
 
-# Full symmetry validation is O(n^2); skip it above this size (constructors
-# below produce symmetric rows by construction).
-_VALIDATE_LIMIT = 512
-
-
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -55,19 +50,33 @@ class Graph:
             raise ValueError("vertex count must be nonnegative")
         if len(rows) != n:
             raise ValueError(f"expected {n} adjacency rows, got {len(rows)}")
-        self.n = n
-        self.rows = tuple(rows)
-        for v, row in enumerate(self.rows):
+        rows = tuple(rows)
+        for v, row in enumerate(rows):
             if row >> n:
                 raise ValueError(f"row {v} has bits beyond vertex range")
             if (row >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
-        if n <= _VALIDATE_LIMIT:
-            for u in range(n):
-                for v in bits(self.rows[u]):
-                    if not (self.rows[v] >> u) & 1:
-                        raise ValueError(f"adjacency not symmetric at ({u},{v})")
-        self.m = sum(r.bit_count() for r in self.rows) // 2
+        # the matrix is not cached: a caller that never needs it should not
+        # hold n^2 bytes for the check
+        mat = _unpack_rows(n, rows)
+        one_way = np.argwhere(mat > mat.T)
+        if one_way.size:
+            u, v = one_way[0]
+            raise ValueError(f"adjacency not symmetric at ({u},{v})")
+        self._set(n, rows)
+
+    @classmethod
+    def _trusted(cls, n: int, rows: Sequence[int]) -> "Graph":
+        """A graph on rows that are in range, loop-free and symmetric by
+        construction; skips the constructor's checks."""
+        g = cls.__new__(cls)
+        g._set(n, tuple(rows))
+        return g
+
+    def _set(self, n: int, rows: tuple[int, ...]) -> None:
+        self.n = n
+        self.rows = rows
+        self.m = sum(r.bit_count() for r in rows) // 2
         self._mat = None
 
     def has_edge(self, u: int, v: int) -> bool:
@@ -102,13 +111,7 @@ class Graph:
         n = 3000, 41 MB at n = 6400.
         """
         if self._mat is None:
-            n = self.n
-            nbytes = (n + 7) // 8
-            buf = bytearray(n * nbytes)
-            for v, row in enumerate(self.rows):
-                buf[v * nbytes : (v + 1) * nbytes] = row.to_bytes(nbytes, "little")
-            arr = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(n, nbytes)
-            mat = np.unpackbits(arr, axis=1, bitorder="little", count=n)
+            mat = _unpack_rows(self.n, self.rows)
             self._mat = mat.astype(bool)
             self._mat.setflags(write=False)
         return self._mat
@@ -123,6 +126,16 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
+
+
+def _unpack_rows(n: int, rows: Sequence[int]) -> np.ndarray:
+    """n x n uint8 matrix whose entry (i, j) is bit j of ``rows[i]``."""
+    nbytes = (n + 7) // 8
+    buf = bytearray(n * nbytes)
+    for v, row in enumerate(rows):
+        buf[v * nbytes : (v + 1) * nbytes] = row.to_bytes(nbytes, "little")
+    arr = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(n, nbytes)
+    return np.unpackbits(arr, axis=1, bitorder="little", count=n)
 
 
 @dataclass(frozen=True)
@@ -151,7 +164,7 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise ValueError(f"loop edge ({u},{u}) not allowed")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, rows)
+    return Graph._trusted(n, rows)
 
 
 def edge_density(g: Graph) -> Density:
@@ -163,7 +176,7 @@ def edge_density(g: Graph) -> Density:
 def complement(g: Graph) -> Graph:
     full = g.full_mask()
     rows = [(full ^ row) & ~(1 << v) for v, row in enumerate(g.rows)]
-    return Graph(g.n, rows)
+    return Graph._trusted(g.n, rows)
 
 
 def _pack_rows(mat: np.ndarray) -> list[int]:
@@ -193,7 +206,7 @@ def induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
             for j, v in enumerate(sel):
                 acc |= ((ru >> v) & 1) << j
             rows[i] = acc
-    return Graph(k, rows), tuple(sel)
+    return Graph._trusted(k, rows), tuple(sel)
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
@@ -207,4 +220,4 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
     for i in range(n - 1):
         mat[i, i + 1 :] = rng.random(n - 1 - i) < p
     mat |= mat.T
-    return Graph(n, _pack_rows(mat))
+    return Graph._trusted(n, _pack_rows(mat))

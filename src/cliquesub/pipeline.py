@@ -1,13 +1,21 @@
 """Composition of the extraction steps into subdivision lower bounds.
 
-Two executable procedures: the dense case (direct extraction through the
-common-neighbor subset) and the sparse case (degree filtering, independence
-filtering, then extraction, with a density-drop recursion).  Paper mode is a
-faithful executable of the proven statements: it refuses whenever a cited
-hypothesis fails, so at desk scale its value is the refusal logic and the
-constant bookkeeping, both of which are tested.  Practical mode reuses the
-identical control flow with best-effort parameter choices and emits
-machine-checked certificates for whatever order it actually achieves.
+Two routes follow the proof's case analysis.  The dense route extracts
+straight from the graph.  The sparse route filters by degree, takes a
+maximum independent set I, keeps the vertices with few neighbours in I,
+recurses when that loses a density factor 10, and otherwise extracts and
+then applies the independence filter.  Both routes share one extraction
+step (dependent random choice: a partition, then a hub) and one build step
+(a ladder of greedy length-4 builds, each verified), and every fallback is
+the same verified single-vertex certificate.
+
+Paper mode is the paper's hypothesis checks: it refuses whenever a cited
+hypothesis fails, and with the paper's density constant ``C_DENSITY`` that
+is every nonempty graph that fits in memory.  At desk scale its value is
+the refusal logic and the constant bookkeeping, both of which are tested.
+Practical mode skips those checks (the dense route keeps its extraction
+gate d^2*n >= 1600) and emits machine-checked certificates for whatever
+order it actually achieves.
 """
 
 from __future__ import annotations
@@ -18,8 +26,8 @@ from fractions import Fraction
 from math import isqrt
 from typing import Optional
 
-from .dense import dense_subset, greedy_shrink_trace
-from .drc import PreconditionRefusal, drc_partition, drc_select
+from .dense import greedy_shrink_trace
+from .drc import DRC_DENSITY_REQUIREMENT, PreconditionRefusal, drc_partition, drc_select
 from .esfilter import es_filter
 from .graphs import Graph, bits, edge_density, induced, vertex_mask
 from .oracles import Tagged, alpha_exact
@@ -55,6 +63,10 @@ PROV_CONSTRUCTIVE = "certified-constructive"
 PROV_CITED = "cited-density-bound"
 PROV_TRIVIAL = "trivial"
 
+# The paper's density constant c: a dense-case floor and a sparse-case
+# ceiling.  The dense hypothesis n >= 10^14*c^-5 then needs n >= 10^114.
+C_DENSITY = 1e-20
+
 REQ_DENSE_N = "n >= 10^14 * c^-5"
 REQ_DENSE_D = "d >= c"
 REQ_DENSE_ALPHA = "alpha <= 2*log(n)"
@@ -65,18 +77,17 @@ REQ_SPARSE_PRODUCT = "d*alpha*log(1/d) <= log(n)/100"
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """All pipeline constants plus the mode switch.
+    """Pipeline constants plus the mode switch.
 
-    Paper mode uses exactly the cited constants and refuses when hypotheses
-    fail; practical mode keeps the control flow but substitutes achievable
-    parameter choices.
+    Paper mode checks the paper's hypotheses and refuses when one fails;
+    practical mode skips them.  Past the checks both modes run the same
+    extraction and build.  ``c1``, ``c2`` and ``big_c`` are the constants
+    of the pure-arithmetic bound calculators.
     """
 
     mode: str = "practical"
-    c: float = 1e-20  # dense-case density floor / sparse-case density ceiling
     c1: float = 1e-114
     c2: float = 1e-114
-    c_prime: float = 1e-114
     big_c: float = 1e120  # ratio-bound constant
     alpha_budget: int = 2_000_000
     max_depth: int = 40
@@ -113,17 +124,24 @@ class BoundReport:
         }
 
 
-def _trivial_report(g: Graph, transcript: list[dict], flags: list[str]) -> BoundReport:
-    claim = 1 if g.n >= 1 else 0
-    return BoundReport(claim, PROV_TRIVIAL, None, transcript, flags)
-
-
-def _single_vertex_certificate(g: Graph) -> Optional[SubdivisionCertificate]:
-    if g.n == 0:
-        return None
+def _single_vertex_report(g: Graph, transcript: list[dict], flags: list[str]) -> BoundReport:
+    """The fallback of every route on a nonempty graph: one branch vertex."""
     cert = SubdivisionCertificate(branch=(0,), paths={})
     verify_subdivision(g, cert)
-    return cert
+    return BoundReport(1, PROV_CONSTRUCTIVE, cert, transcript, flags)
+
+
+def _cited_report(g: Graph, transcript: list[dict], flags: list[str]) -> BoundReport:
+    """Order t with m >= 256*t^2*n, from the cited extraction theorem.
+
+    Records ``t`` on the last transcript step.  Above 1 the claim carries no
+    certificate and is flagged; at most 1 it is the single-vertex fallback.
+    """
+    t = isqrt(g.m // (256 * g.n))
+    transcript[-1]["t"] = t
+    if t <= 1:
+        return _single_vertex_report(g, transcript, flags)
+    return BoundReport(t, PROV_CITED, None, transcript, flags + ["non-certified"])
 
 
 def _alpha_value(alpha: Tagged | int) -> tuple[int, bool]:
@@ -138,35 +156,56 @@ def sigma_lower_density_cited(g: Graph) -> BoundReport:
     This route cites an external extraction theorem and is NOT constructive
     here: the report carries no certificate and is flagged accordingly.
     """
-    n, m = g.n, g.m
-    transcript = [{"step": "density-cited", "n": n, "m": m}]
-    if n == 0:
+    transcript = [{"step": "density-cited", "n": g.n, "m": g.m}]
+    if g.n == 0:
         return BoundReport(0, PROV_TRIVIAL, None, transcript)
-    t = isqrt(m // (256 * n))
-    transcript[0]["t"] = t
-    if t <= 1:
-        rep = _trivial_report(g, transcript, [])
-        rep.certificate = _single_vertex_certificate(g)
-        if rep.certificate is not None:
-            rep.provenance = PROV_CONSTRUCTIVE
-        return rep
-    return BoundReport(t, PROV_CITED, None, transcript, ["non-certified"])
+    return _cited_report(g, transcript, [])
 
 
-def _practical_build(
+def _extract(
+    h: Graph,
+    labels: range | tuple[int, ...],
+    seed: int,
+    params: PipelineParams,
+    transcript: list[dict],
+) -> tuple[int, ...]:
+    """Dependent random choice on ``h``: a partition, then a hub.
+
+    ``labels[i]`` is the host-graph label of vertex i of ``h``.  Records one
+    ``partition`` and one ``hub`` step and returns U in host labels.
+    """
+    v1, v2 = drc_partition(h, seed)
+    transcript.append({"step": "partition", "seed": seed, "v1_size": len(v1)})
+    cert = drc_select(h, v1, v2, mode=params.mode, path_sample=params.path_sample)
+    u_labels = tuple(sorted(labels[v] for v in cert.u_set))
+    transcript.append(
+        {
+            "step": "hub",
+            "hub": labels[cert.hub],
+            "x_size": len(cert.x_set),
+            "bad_pairs": cert.bad_pair_count,
+            "u_size": len(u_labels),
+            "path_bound": cert.path_bound,
+        }
+    )
+    return u_labels
+
+
+def _build(
     g: Graph,
     u_labels: tuple[int, ...],
     pool_mask: int,
     params: PipelineParams,
     transcript: list[dict],
-) -> Optional[SubdivisionCertificate]:
+    flags: list[str],
+) -> BoundReport:
     """Ladder selection: shrink the candidate set greedily, start at the
     largest size whose missing-pair load fits the interior pool, then retry
-    downward on builder failure."""
+    downward on builder failure.  A verified length-4 certificate is the
+    claim; when every size fails the claim is a single vertex."""
     gU, mapping = induced(g, u_labels)
     order, missing = greedy_shrink_trace(gU, range(gU.n))
-    pool_size = pool_mask.bit_count()
-    budget = int(params.pool_utilization * pool_size)
+    budget = int(params.pool_utilization * pool_mask.bit_count())
     start = 1
     for k in range(gU.n, 0, -1):
         if 3 * missing[k] <= budget:
@@ -178,10 +217,8 @@ def _practical_build(
         attempts += 1
         if attempts > params.builder_retries:
             break
-        keep = set(range(gU.n))
-        for v in order[: gU.n - s]:
-            keep.discard(v)
-        s_labels = tuple(sorted(mapping[v] for v in keep))
+        dropped = set(order[: gU.n - s])
+        s_labels = tuple(mapping[v] for v in range(gU.n) if v not in dropped)
         result = build_subdivision(g, s_labels, pool)
         if isinstance(result, BuildFailure):
             transcript.append(
@@ -199,9 +236,9 @@ def _practical_build(
         transcript.append(
             {"step": "build", "s": s, "missing": missing[s], "attempts": attempts}
         )
-        return result
+        return BoundReport(result.order, PROV_CONSTRUCTIVE, result, transcript, flags)
     transcript.append({"step": "build-exhausted", "attempts": attempts})
-    return None
+    return _single_vertex_report(g, transcript, flags)
 
 
 def sigma_lower_dense(
@@ -210,13 +247,12 @@ def sigma_lower_dense(
     params: PipelineParams,
     seed: int = 0,
 ) -> BoundReport:
-    """Dense-case constructive bound.
+    """Dense-case constructive bound: extract, then build.
 
-    Paper mode requires n >= 10^14*c^-5, d >= c and alpha <= 2*log(n) and
-    then extracts a set of size ceil(rho^(alpha-1)*|U|) with
-    rho = (1e-7*d^3/n)^(1/(2*alpha-1)).  Practical mode requires only the
-    common-neighbor extraction gate d^2*n >= 1600 and returns the best
-    certificate the greedy builder achieves.
+    Paper mode refuses unless n >= 10^14*c^-5, d >= c and alpha <= 2*log(n)
+    with c = ``C_DENSITY``.  Past that, a complete graph is its own
+    subdivision; otherwise the extraction gate d^2*n >= 1600 must hold, and
+    the report carries the best certificate the greedy builder achieves.
     """
     n = g.n
     d = edge_density(g).fraction
@@ -229,9 +265,9 @@ def sigma_lower_dense(
     if n == 0:
         return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
     if params.mode == "paper":
-        if n < 1e14 * params.c**-5:
+        if n < 1e14 * C_DENSITY**-5:
             raise PreconditionRefusal(REQ_DENSE_N, f"n = {n}")
-        if float(d) < params.c:
+        if float(d) < C_DENSITY:
             raise PreconditionRefusal(REQ_DENSE_D, f"d = {float(d):.6g}")
         if a_val > 2 * math.log(n):
             raise PreconditionRefusal(REQ_DENSE_ALPHA, f"alpha = {a_val}")
@@ -242,45 +278,13 @@ def sigma_lower_dense(
         verify_subdivision(g, cert, exact_length=4)
         transcript.append({"step": "clique-shortcut", "order": n})
         return BoundReport(n, PROV_CONSTRUCTIVE, cert, transcript, flags)
-    if params.mode == "practical" and d * d * n < 1600:
+    if d * d * n < 1600:
         raise PreconditionRefusal(
-            "d^2 * n >= 1600", f"d^2*n = {float(d * d * n):.6g}"
+            DRC_DENSITY_REQUIREMENT, f"d^2*n = {float(d * d * n):.6g}"
         )
-
-    v1, v2 = drc_partition(g, seed)
-    transcript.append({"step": "partition", "seed": seed, "v1_size": len(v1)})
-    cert_drc = drc_select(g, v1, v2, mode=params.mode, path_sample=params.path_sample)
-    transcript.append(
-        {
-            "step": "hub",
-            "hub": cert_drc.hub,
-            "x_size": len(cert_drc.x_set),
-            "bad_pairs": cert_drc.bad_pair_count,
-            "u_size": len(cert_drc.u_set),
-            "path_bound": cert_drc.path_bound,
-        }
-    )
-    u_set = cert_drc.u_set
+    u_set = _extract(g, range(n), seed, params, transcript)
     pool_mask = g.full_mask() & ~vertex_mask(u_set)
-    if params.mode == "paper":
-        rho = (1e-7 * float(d) ** 3 / n) ** (1.0 / (2 * a_val - 1))
-        gU, mapping = induced(g, u_set)
-        s = math.ceil(rho ** (a_val - 1) * len(u_set))
-        subset = dense_subset(gU, rho, s)
-        s_labels = tuple(sorted(mapping[v] for v in subset))
-        transcript.append({"step": "dense-subset", "rho": rho, "s": s})
-        result = build_subdivision(g, s_labels, tuple(bits(pool_mask)))
-        if isinstance(result, BuildFailure):
-            raise AssertionError(f"paper-mode builder failed: {result}")
-        verify_subdivision(g, result, exact_length=4)
-        return BoundReport(s, PROV_CONSTRUCTIVE, result, transcript, flags)
-    cert = _practical_build(g, u_set, pool_mask, params, transcript)
-    if cert is None:
-        rep = _trivial_report(g, transcript, flags)
-        rep.certificate = _single_vertex_certificate(g)
-        rep.provenance = PROV_CONSTRUCTIVE
-        return rep
-    return BoundReport(cert.order, PROV_CONSTRUCTIVE, cert, transcript, flags)
+    return _build(g, u_set, pool_mask, params, transcript, flags)
 
 
 def _degree_filter(g: Graph) -> list[int]:
@@ -297,12 +301,13 @@ def sigma_lower_sparse(
     seed: int = 0,
     alpha: Optional[Tagged] = None,
 ) -> BoundReport:
-    """Sparse-case bound: degree filter, independence filter, extraction,
-    with a recursion when the filtered subgraph loses a density factor 10.
+    """Sparse-case bound: degree filter, independent set, restriction, then
+    a recursion when the restricted subgraph loses a density factor 10, or
+    else extract, independence-filter and build.
 
     Mirrors the proof's case analysis; every branch decision lands in the
     transcript.  Paper mode refuses unless alpha <= n/2, d <= c and
-    d*alpha*log(1/d) <= log(n)/100.
+    d*alpha*log(1/d) <= log(n)/100, with c = ``C_DENSITY``.
 
     ``alpha``, when given, must equal ``alpha_exact(g, params.alpha_budget)``
     (value, witness, tag and nodes); it is searched for here otherwise.
@@ -330,7 +335,7 @@ def sigma_lower_sparse(
     if params.mode == "paper":
         if 2 * a_val > n:
             raise PreconditionRefusal(REQ_SPARSE_ALPHA, f"alpha = {a_val}, n = {n}")
-        if d > Fraction(params.c):
+        if d > Fraction(C_DENSITY):
             raise PreconditionRefusal(REQ_SPARSE_D, f"d = {float(d):.6g}")
         product = float(d) * a_val * math.log(1 / float(d)) if d > 0 else 0.0
         if product > math.log(n) / 100:
@@ -342,28 +347,15 @@ def sigma_lower_sparse(
     # base case: density below n^(-1/4), exactly 16*m^4 < n^3*(n-1)^4
     if 16 * m**4 < n**3 * (n - 1) ** 4:
         transcript.append({"step": "base-case", "name": "d < n^(-1/4)"})
-        rep = _trivial_report(g, transcript, flags)
-        rep.certificate = _single_vertex_certificate(g)
-        if rep.certificate is not None:
-            rep.provenance = PROV_CONSTRUCTIVE
-        return rep
+        return _single_vertex_report(g, transcript, flags)
     # base case: independence number above n/16 -> cited density bound
     if 16 * a_val > n:
-        t = isqrt(m // (256 * n))
-        transcript.append({"step": "base-case", "name": "alpha > n/16", "t": t})
-        if t <= 1:
-            rep = _trivial_report(g, transcript, flags)
-            rep.certificate = _single_vertex_certificate(g)
-            if rep.certificate is not None:
-                rep.provenance = PROV_CONSTRUCTIVE
-            return rep
-        return BoundReport(t, PROV_CITED, None, transcript, flags + ["non-certified"])
+        transcript.append({"step": "base-case", "name": "alpha > n/16"})
+        return _cited_report(g, transcript, flags)
 
     if depth >= params.max_depth:
         transcript.append({"step": "depth-cap", "depth": depth})
-        rep = _trivial_report(g, transcript, flags + ["depth-cap-exceeded"])
-        rep.certificate = _single_vertex_certificate(g)
-        return rep
+        return _single_vertex_report(g, transcript, flags + ["depth-cap-exceeded"])
 
     v_prime = _degree_filter(g)
     if len(v_prime) == n:
@@ -391,9 +383,7 @@ def sigma_lower_sparse(
         v_dprime.append(v)
     transcript.append({"step": "restrict", "v_dprime": len(v_dprime)})
     if len(v_dprime) < 2:
-        rep = _trivial_report(g, transcript, flags + ["filtered-set-too-small"])
-        rep.certificate = _single_vertex_certificate(g)
-        return rep
+        return _single_vertex_report(g, transcript, flags + ["filtered-set-too-small"])
 
     g_sub, map_sub = induced(g, v_dprime)
     d_sub = edge_density(g_sub).fraction
@@ -422,18 +412,9 @@ def sigma_lower_sparse(
         )
 
     transcript.append({"step": "case", "name": "extraction"})
-    p1, p2 = drc_partition(g_sub, seed)
-    drc_cert = drc_select(g_sub, p1, p2, mode=params.mode, path_sample=params.path_sample)
-    v1_labels = tuple(sorted(map_sub[v] for v in drc_cert.u_set))
-    transcript.append(
-        {"step": "hub", "hub": map_sub[drc_cert.hub],
-         "x_size": len(drc_cert.x_set), "u_size": len(v1_labels),
-         "bad_pairs": drc_cert.bad_pair_count}
-    )
+    v1_labels = _extract(g_sub, map_sub, seed, params, transcript)
     if len(v1_labels) < 2:
-        rep = _trivial_report(g, transcript, flags + ["extraction-too-small"])
-        rep.certificate = _single_vertex_certificate(g)
-        return rep
+        return _single_vertex_report(g, transcript, flags + ["extraction-too-small"])
 
     # independence filter with cap 8*d (clamped into (0,1] at desk scale)
     cap = min(Fraction(8) * d, Fraction(1))
@@ -458,31 +439,10 @@ def sigma_lower_sparse(
          "u_size": len(u_labels), "beta": beta}
     )
     if len(u_labels) < 1:
-        rep = _trivial_report(g, transcript, flags + ["filter-empty"])
-        rep.certificate = _single_vertex_certificate(g)
-        return rep
+        return _single_vertex_report(g, transcript, flags + ["filter-empty"])
 
     pool_mask = vertex_mask(v_dprime) & ~vertex_mask(v1_labels)
-    if params.mode == "paper":
-        log_rho = ((6 - 30 * df * a_val) * math.log(df) - math.log(n)) / (2 * beta - 1)
-        rho = math.exp(log_rho)
-        gU, mapping = induced(g, u_labels)
-        s = math.ceil(rho ** (beta - 1) * len(u_labels))
-        subset = dense_subset(gU, rho, s)
-        s_labels = tuple(sorted(mapping[v] for v in subset))
-        transcript.append({"step": "dense-subset", "rho": rho, "s": s})
-        result = build_subdivision(g, s_labels, tuple(bits(pool_mask)))
-        if isinstance(result, BuildFailure):
-            raise AssertionError(f"paper-mode builder failed: {result}")
-        verify_subdivision(g, result, exact_length=4)
-        return BoundReport(s, PROV_CONSTRUCTIVE, result, transcript, flags)
-    cert = _practical_build(g, u_labels, pool_mask, params, transcript)
-    if cert is None:
-        rep = _trivial_report(g, transcript, flags)
-        rep.certificate = _single_vertex_certificate(g)
-        rep.provenance = PROV_CONSTRUCTIVE
-        return rep
-    return BoundReport(cert.order, PROV_CONSTRUCTIVE, cert, transcript, flags)
+    return _build(g, u_labels, pool_mask, params, transcript, flags)
 
 
 def sigma_lower_auto(

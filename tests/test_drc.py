@@ -163,7 +163,7 @@ class TestCountDisjointPaths:
 
     def test_shared_vertex_blocks_second_path(self):
         # two path templates sharing one interior vertex: answer is 1,
-        # strictly below the per-layer flow relaxation
+        # although u and v each have two neighbours to start a path from
         g = new_graph(
             7,
             [(0, 2), (2, 3), (3, 4), (4, 1), (0, 5), (5, 2), (2, 6), (6, 1)],

@@ -178,5 +178,23 @@ class TestGraphBasics:
         with pytest.raises(ValueError, match="symmetric"):
             Graph(2, [0b10, 0b00])
 
+    def test_asymmetric_rows_rejected_at_any_size(self):
+        rows = [0] * 600
+        rows[0] = 1 << 1
+        with pytest.raises(ValueError, match=r"symmetric at \(0,1\)"):
+            Graph(600, rows)
+
+    def test_check_leaves_the_matrix_uncached(self):
+        g = gen_gnp(600, 0.5, 1)
+        h = Graph(600, g.rows)
+        assert h == g and h.m == g.m
+        assert h._mat is None
+
+    def test_trusted_constructors_give_checked_graphs(self):
+        g = gen_gnp(300, 0.3, 4)
+        for h in (g, complement(g), induced(g, range(0, 300, 2))[0],
+                  new_graph(5, [(0, 1), (3, 1)])):
+            assert Graph(h.n, h.rows) == h
+
     def test_hashable(self):
         assert len({complete(3), complete(3), empty(3)}) == 2

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -25,6 +26,14 @@ from cliquesub.pipeline import (
 )
 from cliquesub.subdivision import verify_subdivision
 from conftest import complete, cycle, random_graph
+
+
+def cert_sha(rep: BoundReport) -> str:
+    return hashlib.sha256(rep.certificate.to_json().encode()).hexdigest()
+
+
+# sha256 of certificate.to_json() for the single branch vertex 0
+SINGLE_VERTEX_SHA = "0535c09c4e3b49abde3cf83d146a0fa0e48e364b87a99117427cb6716913a0dc"
 
 
 def lex_prefix_graph(n: int, m: int):
@@ -85,6 +94,25 @@ def triple_free_complement(n: int = 32):
     return new_graph(n, edges)
 
 
+@pytest.fixture(scope="module")
+def route_reports():
+    """(graph, report) on the frozen regression seeds, one per route."""
+    sparse_g, dense_g = gen_gnp(900, 0.4, 2), gen_gnp(1800, 0.98, 11)
+    recursion_g = hub_periphery_graph()
+    practical = PipelineParams.practical
+    return {
+        "sparse": (
+            sparse_g,
+            sigma_lower_sparse(sparse_g, practical(alpha_budget=120_000), seed=1),
+        ),
+        "recursion": (recursion_g, sigma_lower_sparse(recursion_g, practical())),
+        "dense": (
+            dense_g,
+            sigma_lower_dense(dense_g, alpha_exact(dense_g, 500_000), practical(), seed=5),
+        ),
+    }
+
+
 class TestDense:
     def test_paper_mode_refuses_small_n(self):
         g = gen_gnp(300, 0.9, 1)
@@ -106,16 +134,18 @@ class TestDense:
         with pytest.raises(PreconditionRefusal, match="1600"):
             sigma_lower_dense(g, alpha_exact(g), PipelineParams.practical())
 
-    def test_practical_end_to_end_regression(self):
-        g = gen_gnp(1800, 0.98, 11)
-        alpha = alpha_exact(g, 500_000)
-        rep = sigma_lower_dense(g, alpha, PipelineParams.practical(), seed=5)
+    def test_practical_end_to_end_regression(self, route_reports):
+        g, rep = route_reports["dense"]
         assert rep.provenance == "certified-constructive"
         assert rep.certificate.verified
         assert verify_subdivision(g, rep.certificate, exact_length=4).ok
         assert rep.claimed_sigma_lower >= 3
         # regression baseline for the frozen seed
         assert rep.claimed_sigma_lower == 175
+        assert rep.flags == []
+        assert cert_sha(rep) == (
+            "ea391d5422b0e16207dffb412a9467e99ddc7262e3db34ba315dc634590e8c45"
+        )
 
     def test_deterministic_reports(self):
         g = gen_gnp(1800, 0.98, 11)
@@ -183,25 +213,37 @@ class TestSparseBranches:
         assert "alpha > n/16" not in names
         assert rep.certificate is not None and rep.certificate.verified
 
-    def test_case1_density_drop_recursion(self):
-        g = hub_periphery_graph()
-        rep = sigma_lower_sparse(g, PipelineParams.practical())
+    def test_case1_density_drop_recursion(self, route_reports):
+        _, rep = route_reports["recursion"]
         names = [e.get("name") for e in rep.transcript if "name" in e]
         assert "density-drop-recursion" in names
         # the recursed subgraph is far too sparse and bottoms out trivially
         assert "d < n^(-1/4)" in names
-        assert rep.claimed_sigma_lower >= 1
+        assert rep.claimed_sigma_lower == 1
+        assert rep.provenance == "certified-constructive"
+        assert rep.flags == []
+        assert cert_sha(rep) == (
+            "252fef5315e4125e7559975dd8f422ea75a2349e61dec39cba6758db81a869c0"
+        )
 
-    def test_case2_extraction_end_to_end(self):
-        g = gen_gnp(900, 0.4, 2)
-        params = PipelineParams.practical(alpha_budget=120_000)
-        rep = sigma_lower_sparse(g, params, seed=1)
+    def test_case2_extraction_end_to_end(self, route_reports):
+        g, rep = route_reports["sparse"]
         names = [e.get("name") for e in rep.transcript if "name" in e]
         assert "extraction" in names
         assert rep.certificate is not None and rep.certificate.verified
         assert verify_subdivision(g, rep.certificate, exact_length=4).ok
         # regression baseline for the frozen seed
         assert rep.claimed_sigma_lower == 25
+        assert rep.provenance == "certified-constructive"
+        assert rep.flags == [
+            "heuristic-alpha",
+            "heuristic-independent-set",
+            "filter-cap-clamped",
+            "truncation-target-below-1",
+        ]
+        assert cert_sha(rep) == (
+            "0674f808014937af8cc42d32d1c2642d91e623166d71311a0f36cd0c8e011a9e"
+        )
 
     def test_paper_mode_refusals(self):
         # alpha > n/2: a perfect matching plus one isolated pair broken
@@ -237,7 +279,12 @@ class TestSparseBranches:
         g = gen_gnp(900, 0.4, 4)
         params = PipelineParams.practical(max_depth=0, alpha_budget=120_000)
         rep = sigma_lower_sparse(g, params, seed=0)
-        assert "depth-cap-exceeded" in rep.flags or rep.claimed_sigma_lower >= 1
+        assert "depth-cap-exceeded" in rep.flags
+        assert rep.claimed_sigma_lower == 1
+        assert rep.provenance == "certified-constructive"
+        assert rep.certificate.verified
+        assert verify_subdivision(g, rep.certificate).ok
+        assert cert_sha(rep) == SINGLE_VERTEX_SHA
 
 
 class TestAuto:
@@ -265,6 +312,84 @@ class TestAuto:
             rep = sigma_lower_auto(g, PipelineParams.practical())
             exact, _ = sigma_exact_value(g)
             assert rep.claimed_sigma_lower <= max(1, exact.value)
+
+
+# sigma_lower_auto on G(n, p, graph_seed) with the route seed: claim,
+# flags, certificate sha256 (None for the single vertex) and the paper-mode
+# refusal.  Every claim is certified-constructive.
+RANDOM_PINS = [
+    (6, 0.3, 100, 0, 1, [], None, REQ_SPARSE_ALPHA),
+    (8, 0.6, 101, 1, 1, [], None, REQ_SPARSE_D),
+    (10, 0.9, 102, 2, 1, [], None, REQ_SPARSE_D),
+    (12, 0.97, 103, 0, 1, [], None, REQ_SPARSE_D),
+    (14, 0.3, 104, 1, 1, [], None, REQ_SPARSE_D),
+    (16, 0.6, 105, 2, 1, [], None, REQ_SPARSE_D),
+    (18, 0.9, 106, 0, 1, [], None, REQ_SPARSE_D),
+    (20, 0.97, 107, 1, 1, [], None, REQ_SPARSE_D),
+    (22, 0.3, 108, 2, 1, [], None, REQ_SPARSE_D),
+    (24, 0.6, 109, 0, 1, [], None, REQ_SPARSE_D),
+    (26, 0.9, 110, 1, 1, [], None, REQ_SPARSE_D),
+    (28, 0.97, 111, 2, 1, [], None, REQ_SPARSE_D),
+    (30, 0.3, 112, 0, 1, [], None, REQ_SPARSE_D),
+    (32, 0.6, 113, 1, 1, [], None, REQ_SPARSE_D),
+    (34, 0.9, 114, 2, 1, [], None, REQ_SPARSE_D),
+    (36, 0.97, 115, 0, 4, ["filter-cap-clamped"],
+     "0bfad1dc1918fc20f49ec7c0235194bb02a6017721f9a5afd9db8c66b137a34e", REQ_SPARSE_D),
+    (38, 0.3, 116, 1, 1, [], None, REQ_SPARSE_D),
+    (40, 0.6, 117, 2, 1, [], None, REQ_SPARSE_D),
+    (44, 0.9, 118, 0, 1, [], None, REQ_SPARSE_D),
+    (45, 0.97, 119, 1, 5, ["filter-cap-clamped"],
+     "1c0145bfc9ec21d7a67adb503cb47b578fd2528b95eb0b5154b064a20c579021", REQ_SPARSE_D),
+]
+
+
+class TestPinnedReports:
+    def test_both_routes_record_the_same_extraction_steps(self, route_reports):
+        def keys(rep, step):
+            return [sorted(e) for e in rep.transcript if e["step"] == step]
+
+        (_, sparse), (_, dense) = route_reports["sparse"], route_reports["dense"]
+        for step in ("partition", "hub"):
+            assert len(keys(dense, step)) == 1
+            assert keys(sparse, step) == keys(dense, step)
+
+    @pytest.mark.parametrize(
+        "n, p, graph_seed, seed, claim, flags, sha, refusal", RANDOM_PINS
+    )
+    def test_random_graphs(self, n, p, graph_seed, seed, claim, flags, sha, refusal):
+        g = gen_gnp(n, p, graph_seed)
+        rep = sigma_lower_auto(g, PipelineParams.practical(), seed)
+        assert rep.claimed_sigma_lower == claim
+        assert rep.provenance == "certified-constructive"
+        assert rep.flags == flags
+        assert rep.certificate.verified
+        assert cert_sha(rep) == (sha or SINGLE_VERTEX_SHA)
+        with pytest.raises(PreconditionRefusal) as exc:
+            sigma_lower_auto(g, PipelineParams.paper(), seed)
+        assert exc.value.requirement == refusal
+
+
+class TestPaperModeRefuses:
+    def test_every_small_random_graph(self):
+        params = PipelineParams.paper()
+        for n in range(1, 61):
+            for p in (0.0, 0.25, 0.5, 0.75, 1.0):
+                g = gen_gnp(n, p, n)
+                alpha = alpha_exact(g)
+                with pytest.raises(PreconditionRefusal):
+                    sigma_lower_auto(g, params)
+                with pytest.raises(PreconditionRefusal):
+                    sigma_lower_dense(g, alpha, params)
+                with pytest.raises(PreconditionRefusal):
+                    sigma_lower_sparse(g, params)
+
+    def test_cocktail_party_refused_on_density(self):
+        # alpha = 2 passes the alpha check; d is far above the paper's c
+        g = cocktail_party(900)
+        for route in (sigma_lower_auto, sigma_lower_sparse):
+            with pytest.raises(PreconditionRefusal) as exc:
+                route(g, PipelineParams.paper())
+            assert exc.value.requirement == REQ_SPARSE_D
 
 
 class TestDispatch:
