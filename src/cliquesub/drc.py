@@ -61,9 +61,12 @@ class DrcCertificate:
 
     ``good_threshold`` is floor(d^2*n/800): a pair is bad iff its
     common-neighbor count on the far side is <= this cutoff.
-    ``path_bound`` is the per-pair internally-disjoint length-4 path count:
-    the proven guarantee ceil(1e-9*d^5*n) in paper mode, or the measured
-    minimum over sampled pairs in practical mode.
+    ``path_bound`` is the per-pair internally-disjoint length-4 path count.
+    In paper mode it is the proven guarantee ceil(1e-9*d^5*n).  In practical
+    mode it is the minimum over sampled pairs of U of that count capped at
+    max(1, ceil(1e-9*d^5*n)).  The cap is 1 unless n > 10^9/d^5, so on any
+    graph that fits in memory the field records whether every sampled pair
+    has a length-4 path avoiding the rest of U (1) or some pair has none (0).
     """
 
     v1: tuple[int, ...]

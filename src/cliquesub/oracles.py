@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -97,10 +97,72 @@ def _improve_swaps(rows: tuple[int, ...], n: int, clique: int, full: int) -> int
     return clique
 
 
-def _max_clique_core(rows: tuple[int, ...], n: int, budget: int) -> Tagged:
+# _BYTE_REVERSED[b] is the byte b with its eight bits in reverse order
+_BYTE_REVERSED = bytes(int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
+class _Frame:
+    """A vertex set relabelled for the clique search.
+
+    Position q of a k-vertex frame holds ``labels[q]``, the (k-1-q)-th
+    lowest of its original labels, so the lowest label of a set is its
+    highest bit and is found with ``bit_length``.  ``rows[q]`` is q's
+    neighbourhood inside the frame as a k-bit int, and ``nrows[q]`` is the
+    complement of q's closed neighbourhood, so one AND drops q and its
+    neighbours from a colour class.
+    """
+
+    __slots__ = ("rows", "nrows", "labels")
+
+    def __init__(self, rows: list[int], labels: list[int]):
+        full = (1 << len(rows)) - 1
+        self.rows = rows
+        self.nrows = [full ^ (row | 1 << q) for q, row in enumerate(rows)]
+        self.labels = labels
+
+
+def _root_frame(rows: Sequence[int], n: int) -> _Frame:
+    """The frame of the whole graph: row v bit-reversed into position n-1-v,
+    one row at a time, through a byte-reversal table."""
+    nbytes = (n + 7) // 8
+    shift = 8 * nbytes - n
+    frows = [
+        int.from_bytes(row.to_bytes(nbytes, "little").translate(_BYTE_REVERSED), "big")
+        >> shift
+        for row in reversed(rows)
+    ]
+    return _Frame(frows, list(range(n - 1, -1, -1)))
+
+
+def _compact_frame(frame: _Frame, keep: int) -> tuple[_Frame, dict[int, int]]:
+    """The frame of the positions in ``keep``, in the same order, and the map
+    from their old positions to their new ones.
+
+    Ascending old positions become 0, 1, ..., so label order is kept.  The
+    rows of ``keep`` are unpacked, their ``keep`` columns selected and the
+    result packed again, which costs k rows of the old width in numpy.
+    """
+    pos = list(bits(keep))
+    k = len(pos)
+    width = len(frame.rows)
+    nbytes = (width + 7) // 8
+    buf = b"".join(frame.rows[p].to_bytes(nbytes, "little") for p in pos)
+    mat = np.unpackbits(
+        np.frombuffer(buf, np.uint8).reshape(k, nbytes), axis=1, count=width, bitorder="little"
+    )
+    packed = np.packbits(mat[:, pos], axis=1, bitorder="little").tobytes()
+    kbytes = (k + 7) // 8
+    rows = [
+        int.from_bytes(packed[i * kbytes : (i + 1) * kbytes], "little") for i in range(k)
+    ]
+    labels = frame.labels
+    return _Frame(rows, [labels[p] for p in pos]), {p: i for i, p in enumerate(pos)}
+
+
+def _max_clique_core(rows: Sequence[int], n: int, budget: int) -> Tagged:
     """Branch-and-bound maximum clique with greedy-coloring pruning.
 
-    A node colours its candidates greedily, lowest index first, one colour
+    A node colours its candidates greedily, lowest label first, one colour
     class at a time, and branches on them from the highest colour down
     until rsize + colour <= best_size.  Only vertices coloured above
     kmin = best_size - rsize at node entry are listed for branching
@@ -110,24 +172,38 @@ def _max_clique_core(rows: tuple[int, ...], n: int, budget: int) -> Tagged:
     unchanged.  A branch on v gets v's neighbours among the candidates
     ordered before v, unlisted ones included: ``remaining`` is ``cand``
     without v and the vertices listed after it.
+
+    Vertex sets are ints over a ``_Frame`` whose positions reverse label
+    order (the bitboard layout of San Segundo et al., BBMC, 2011), so a
+    node picks the lowest label with ``bit_length`` and drops it with one
+    XOR.  The root frame is the whole graph.  A node whose candidate set
+    has k vertices moves ``remaining`` and its pending branches into a
+    compact frame of ``remaining`` once its subtree has expanded k nodes,
+    if its frame is at least 4k wide, so the deep nodes, where the search
+    spends its time, work on ints of a few digits.  Relabelling keeps
+    label order, so the tree is the one the whole-graph frame would give.
+    Beyond the root, each level of the recursion path holds at most one
+    frame of at most k k-bit ints.
     """
-    full = (1 << n) - 1
     if n == 0:
         return Tagged(0, (), TAG_EXACT, 0)
+    full = (1 << n) - 1
     incumbent = _improve_swaps(rows, n, _greedy_clique(rows, n, full), full)
     best_size = incumbent.bit_count()
-    best_mask = incumbent
+    best_clique = tuple(bits(incumbent))
     nodes = 0
     exhausted = True
-    # one AND drops a coloured vertex and its neighbours from its class
-    nrows = [~(row | 1 << v) for v, row in enumerate(rows)]
+    bit = [1 << q for q in range(n)]
+    path: list[int] = []  # labels of the current clique
 
-    def expand(rmask: int, rsize: int, cand: int) -> None:
-        nonlocal best_size, best_mask, nodes, exhausted
+    def expand(rsize: int, cand: int, frame: _Frame) -> None:
+        nonlocal best_size, best_clique, nodes, exhausted
         nodes += 1
         if nodes > budget:
             exhausted = False
             return
+        start = nodes
+        frows, nrows = frame.rows, frame.nrows
         kmin = best_size - rsize
         order: list[int] = []
         colors: list[int] = []
@@ -138,38 +214,48 @@ def _max_clique_core(rows: tuple[int, ...], n: int, budget: int) -> Tagged:
             avail = uncolored
             if c > kmin:
                 while avail:
-                    low = avail & -avail
-                    v = low.bit_length() - 1
-                    order.append(v)
+                    q = avail.bit_length() - 1
+                    order.append(q)
                     colors.append(c)
-                    avail &= nrows[v]
-                    uncolored ^= low
+                    avail &= nrows[q]
+                    uncolored ^= bit[q]
             else:
                 while avail:
-                    low = avail & -avail
-                    avail &= nrows[low.bit_length() - 1]
-                    uncolored ^= low
+                    q = avail.bit_length() - 1
+                    avail &= nrows[q]
+                    uncolored ^= bit[q]
+        k = cand.bit_count()
+        movable = len(frows) >= 4 * k
         remaining = cand
         for i in range(len(order) - 1, -1, -1):
             if not exhausted:
                 return
             if rsize + colors[i] <= best_size:
                 return
-            v = order[i]
-            remaining ^= 1 << v
-            new_cand = remaining & rows[v]
+            if movable and nodes - start >= k:
+                movable = False
+                frame, moved = _compact_frame(frame, remaining)
+                frows = frame.rows
+                order = [moved[q] for q in order[: i + 1]]
+                remaining = (1 << len(frows)) - 1
+            q = order[i]
+            remaining ^= bit[q]
+            new_cand = remaining & frows[q]
+            v = frame.labels[q]
             if rsize + 1 > best_size:
                 best_size = rsize + 1
-                best_mask = rmask | (1 << v)
+                best_clique = (*path, v)
             if new_cand:
-                expand(rmask | (1 << v), rsize + 1, new_cand)
+                path.append(v)
+                expand(rsize + 1, new_cand, frame)
+                path.pop()
 
-    expand(0, 0, full)
+    expand(0, full, _root_frame(rows, n))
     # expand calls itself through its closure cell, a reference cycle that
-    # would keep ``rows`` alive until the next full gc; unbind it now.
+    # would keep the frames alive until the next full gc; unbind it now.
     del expand
     tag = TAG_EXACT if exhausted else TAG_HEURISTIC
-    return Tagged(best_size, tuple(bits(best_mask)), tag, nodes)
+    return Tagged(best_size, tuple(sorted(best_clique)), tag, nodes)
 
 
 def greedy_clique_lower(g: Graph) -> Tagged:
@@ -400,56 +486,62 @@ def sigma_exact_tiny(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> SigmaSea
     eligible.sort(key=lambda v: (-g.degree(v), v))
     nodes = 0
 
-    def pack(pairs: list[tuple[int, int]], idx: int, avail: int, chosen: dict):
+    def pair_paths(pair: tuple[int, int], avail: int):
+        # every u-v path through avail, shortest first
+        for length in range(2, avail.bit_count() + 2):
+            yield from _paths_fixed_length(g, pair[0], pair[1], avail, length)
+
+    def pack(pairs: list[tuple[int, int]], avail: int, chosen: list[tuple[int, ...]]):
+        """Depth first over one path per pair, on an explicit stack: level i
+        holds the paths left for ``pairs[i]`` and the vertices they may use,
+        and ``chosen`` the path taken at each level below the top."""
         nonlocal nodes
-        if idx == len(pairs):
+        if not pairs:
             return True
-        u, v = pairs[idx]
-        max_len = avail.bit_count() + 1
-        for length in range(2, max_len + 1):
-            for path in _paths_fixed_length(g, u, v, avail, length):
-                nodes += 1
-                if nodes > budget:
-                    return "exceeded"
-                interior = 0
-                for w in path[1:-1]:
-                    interior |= 1 << w
-                chosen[(u, v)] = path
-                res = pack(pairs, idx + 1, avail & ~interior, chosen)
-                if res is True or res == "exceeded":
-                    return res
-                del chosen[(u, v)]
+        stack = [(pair_paths(pairs[0], avail), avail)]
+        while stack:
+            paths, avail = stack[-1]
+            path = next(paths, None)
+            if path is None:
+                stack.pop()
+                if chosen:
+                    chosen.pop()
+                continue
+            nodes += 1
+            if nodes > budget:
+                return "exceeded"
+            chosen.append(path)
+            if len(chosen) == len(pairs):
+                return True
+            for w in path[1:-1]:
+                avail &= ~(1 << w)
+            stack.append((pair_paths(pairs[len(chosen)], avail), avail))
         return False
 
     full = g.full_mask()
-    try:
-        for S in combinations(eligible, t):
-            nodes += 1
-            if nodes > budget:
-                return SigmaSearchResult("exceeded", nodes=nodes)
-            smask = 0
-            for v in S:
-                smask |= 1 << v
-            pairs = [
-                (a, b)
-                for a, b in combinations(sorted(S), 2)
-                if not g.has_edge(a, b)
-            ]
-            chosen: dict = {}
-            res = pack(pairs, 0, full & ~smask, chosen)
-            if res == "exceeded":
-                return SigmaSearchResult("exceeded", nodes=nodes)
-            if res is True:
-                cert = SubdivisionCertificate(
-                    branch=tuple(sorted(S)),
-                    paths={p: chosen[p] for p in sorted(chosen)},
-                )
-                return SigmaSearchResult("yes", cert, nodes)
-        return SigmaSearchResult("no", nodes=nodes)
-    finally:
-        # pack calls itself through its closure cell, a cycle that would
-        # keep g alive until the next full gc
-        del pack
+    for S in combinations(eligible, t):
+        nodes += 1
+        if nodes > budget:
+            return SigmaSearchResult("exceeded", nodes=nodes)
+        smask = 0
+        for v in S:
+            smask |= 1 << v
+        pairs = [
+            (a, b)
+            for a, b in combinations(sorted(S), 2)
+            if not g.has_edge(a, b)
+        ]
+        chosen: list[tuple[int, ...]] = []
+        res = pack(pairs, full & ~smask, chosen)
+        if res == "exceeded":
+            return SigmaSearchResult("exceeded", nodes=nodes)
+        if res is True:
+            cert = SubdivisionCertificate(
+                branch=tuple(sorted(S)),
+                paths=dict(zip(pairs, chosen)),
+            )
+            return SigmaSearchResult("yes", cert, nodes)
+    return SigmaSearchResult("no", nodes=nodes)
 
 
 def sigma_exact_value(

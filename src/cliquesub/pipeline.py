@@ -294,6 +294,22 @@ def _degree_filter(g: Graph) -> list[int]:
     return [v for v in range(n) if g.degree(v) * (n - 1) <= 4 * m]
 
 
+def _clique_cover_size(g: Graph) -> int:
+    """Number of parts of a greedy partition of the vertices into cliques:
+    an upper bound on alpha, as an independent set meets each part once at
+    most.  Each part grows from the lowest free vertex."""
+    free = g.full_mask()
+    parts = 0
+    while free:
+        cand = free
+        while cand:
+            low = cand & -cand
+            free ^= low
+            cand &= g.rows[low.bit_length() - 1]
+        parts += 1
+    return parts
+
+
 def sigma_lower_sparse(
     g: Graph,
     params: PipelineParams,
@@ -310,7 +326,9 @@ def sigma_lower_sparse(
     d*alpha*log(1/d) <= log(n)/100, with c = ``C_DENSITY``.
 
     ``alpha``, when given, must equal ``alpha_exact(g, params.alpha_budget)``
-    (value, witness, tag and nodes); it is searched for here otherwise.
+    (value, witness, tag and nodes); it is searched for here otherwise,
+    except in paper mode when a greedy clique partition already shows
+    alpha <= n/2 and d > c refuses.
     When the degree filter keeps every vertex, the filtered graph is g and
     this result also serves as its independent set.
     """
@@ -325,6 +343,14 @@ def sigma_lower_sparse(
         return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
 
     if alpha is None:
+        if (
+            params.mode == "paper"
+            and d > Fraction(C_DENSITY)
+            and 2 * _clique_cover_size(g) <= n
+        ):
+            # alpha <= n/2 whatever the search would find, so the paper's
+            # checks refuse on d without it
+            raise PreconditionRefusal(REQ_SPARSE_D, f"d = {float(d):.6g}")
         alpha = alpha_exact(g, params.alpha_budget)
     a_val = alpha.value
     if not alpha.exact:
@@ -452,14 +478,16 @@ def sigma_lower_auto(
 
     ``alpha``, when given, must equal ``alpha_exact(g, params.alpha_budget)``
     (value, witness, tag and nodes); it is searched for here otherwise, and
-    either way handed to the route taken.
+    either way handed to the route taken.  In paper mode only a complete
+    graph needs it here; any other goes to the sparse route, which searches
+    for it only when its refusal depends on it.
     """
     d = edge_density(g).fraction
     if g.n == 0:
         return BoundReport(0, PROV_TRIVIAL)
-    if alpha is None:
+    if alpha is None and (params.mode == "practical" or 2 * g.m == g.n * (g.n - 1)):
         alpha = alpha_exact(g, params.alpha_budget)
-    if alpha.exact and alpha.value <= 1:
+    if alpha is not None and alpha.exact and alpha.value <= 1:
         return sigma_lower_dense(g, alpha, params, seed)
     if params.mode == "practical" and d * d * g.n >= 1600:
         report = sigma_lower_dense(g, alpha, params, seed)

@@ -14,7 +14,9 @@ from cliquesub.drc import (
     drc_select,
     verify_drc_certificate,
 )
+from cliquesub.experiments import OPTIMAL_P
 from cliquesub.graphs import edge_density, gen_gnp, new_graph
+from cliquesub.pipeline import PipelineParams, sigma_lower_auto
 from conftest import complete, cycle, empty, random_graph
 
 
@@ -142,6 +144,14 @@ class TestSelect:
                     g, u, v, forb - {u, v}, limit=cert.path_bound
                 )
                 assert got >= cert.path_bound
+
+    def test_practical_path_bound_is_one_on_a_sweep_graph(self):
+        # the cap max(1, ceil(1e-9*d^5*n)) is 1 at n = 1000, so the field
+        # only says that every sampled pair of U has a length-4 path
+        g = gen_gnp(1000, OPTIMAL_P, 56)
+        report = sigma_lower_auto(g, PipelineParams.practical(), 56)
+        (hub,) = [step for step in report.transcript if step["step"] == "hub"]
+        assert hub["u_size"] >= 2 and hub["path_bound"] == 1
 
 
 class TestCountDisjointPaths:

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from cliquesub import oracles
 from cliquesub.experiments import OPTIMAL_P
 from cliquesub.graphs import complement, edge_density, gen_gnp, induced, new_graph
 from cliquesub.oracles import (
@@ -143,6 +144,48 @@ class TestAlphaOmega:
             got = greedy_clique_lower(g)
             assert brute_independent(complement(g), got.witness)
             assert got.value <= brute_omega(g)
+
+
+class TestFrames:
+    """The clique search on compact, order-reversed frames gives the trees of
+    the search that works on original labels."""
+
+    def test_matches_reference_core_at_n2000(self):
+        g = gen_gnp(2000, 0.95, 0)
+        alpha = alpha_exact(g)
+        assert alpha == reference_max_clique_core(complement(g).rows, g.n, DEFAULT_BUDGET)
+        g = gen_gnp(2000, OPTIMAL_P, 0)
+        omega = omega_exact(g, 30_000)
+        assert omega == reference_max_clique_core(g.rows, g.n, 30_000)
+
+    def test_witness_found_in_a_compact_frame(self):
+        # the best clique improves after a frame switch here, so its labels
+        # come through a compact frame's label map
+        g = gen_gnp(400, OPTIMAL_P, 0)
+        omega = omega_exact(g, 40_000)
+        assert omega == reference_max_clique_core(g.rows, g.n, 40_000)
+        assert (omega.value, omega.tag) == (39, "heuristic")
+
+    def test_frame_switches(self, monkeypatch):
+        switches = []
+
+        def counted(frame, keep):
+            switches.append((len(frame.rows), keep.bit_count()))
+            return compact_frame(frame, keep)
+
+        compact_frame = oracles._compact_frame
+        monkeypatch.setattr(oracles, "_compact_frame", counted)
+        g = gen_gnp(1000, OPTIMAL_P, 3)
+        assert omega_exact(g, 30_000).nodes == 30_001
+        # each switch leaves a frame at least four times wider than the set
+        assert len(switches) == 4 and all(w >= 4 * k for w, k in switches)
+        counts = []
+        for g in (gen_gnp(300, OPTIMAL_P, 2), gen_gnp(150, 0.9, 3)):
+            for rows in (g.rows, complement(g).rows):
+                switches.clear()
+                _max_clique_core(rows, g.n, 40_000)
+                counts.append(len(switches))
+        assert counts == [216, 0, 0, 0]
 
 
 def networkx_clique_number(g) -> int:
@@ -319,6 +362,15 @@ class TestSigmaTiny:
         assert sigma_exact_tiny(h, 5).status == "no"
         after = sys.getrefcount(h)
         assert after == before
+
+    def test_deep_packing_beyond_recursion_limit(self):
+        # K_{46,1100}: the 46 branch vertices form 1035 non-adjacent pairs,
+        # one packing level each, routed through distinct far-side vertices
+        a, b = 46, 1100
+        g = new_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+        res = sigma_exact_tiny(g, a)
+        assert res.status == "yes" and len(res.certificate.paths) == 1035
+        assert verify_subdivision(g, res.certificate).ok
 
     def test_budget_third_state(self):
         g = gen_gnp(12, 0.5, 0)

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+from collections import Counter
 
 import pytest
 
@@ -370,18 +371,53 @@ class TestPinnedReports:
 
 
 class TestPaperModeRefuses:
+    # (auto, sparse) requirements over the 300 graphs below, and the sha256
+    # of every graph's (auto, dense, sparse) requirement and message, both
+    # measured when every paper-mode route searched for alpha first
+    REASONS = {
+        (REQ_SPARSE_D, REQ_SPARSE_D): 162,
+        (REQ_SPARSE_ALPHA, REQ_SPARSE_ALPHA): 72,
+        (REQ_DENSE_N, REQ_SPARSE_D): 61,
+        (REQ_DENSE_N, REQ_SPARSE_ALPHA): 5,
+    }
+    REASONS_SHA = "9237d4e2a563b0ca98e3115335b0486babb53a7cced238b268bd3f87aad5b166"
+
     def test_every_small_random_graph(self):
         params = PipelineParams.paper()
+        reasons = []
         for n in range(1, 61):
             for p in (0.0, 0.25, 0.5, 0.75, 1.0):
                 g = gen_gnp(n, p, n)
                 alpha = alpha_exact(g)
-                with pytest.raises(PreconditionRefusal):
-                    sigma_lower_auto(g, params)
-                with pytest.raises(PreconditionRefusal):
-                    sigma_lower_dense(g, alpha, params)
-                with pytest.raises(PreconditionRefusal):
-                    sigma_lower_sparse(g, params)
+                row = []
+                for route in (
+                    lambda: sigma_lower_auto(g, params),
+                    lambda: sigma_lower_dense(g, alpha, params),
+                    lambda: sigma_lower_sparse(g, params),
+                ):
+                    with pytest.raises(PreconditionRefusal) as exc:
+                        route()
+                    row.append((exc.value.requirement, str(exc.value)))
+                reasons.append(row)
+        assert Counter((a[0], s[0]) for a, _, s in reasons) == self.REASONS
+        assert hashlib.sha256(repr(reasons).encode()).hexdigest() == self.REASONS_SHA
+
+    def test_refused_on_density_without_searching_for_alpha(self, monkeypatch):
+        # a greedy clique partition shows alpha <= n/2, so only d <= c can
+        # fail; searching for alpha here took 1.9 s
+        calls = []
+
+        def counted(g, budget):
+            calls.append(g.n)
+            return alpha_exact(g, budget)
+
+        monkeypatch.setattr(pipeline, "alpha_exact", counted)
+        g = gen_gnp(2000, OPTIMAL_P, 0)
+        for route in (sigma_lower_auto, sigma_lower_sparse):
+            with pytest.raises(PreconditionRefusal) as exc:
+                route(g, PipelineParams.paper())
+            assert exc.value.requirement == REQ_SPARSE_D
+        assert calls == []
 
     def test_cocktail_party_refused_on_density(self):
         # alpha = 2 passes the alpha check; d is far above the paper's c
