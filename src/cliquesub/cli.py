@@ -18,7 +18,7 @@ from . import __version__
 from .experiments import OPTIMAL_P, SweepBudgets, emit_report, run_ratio_sweep
 from .graph_io import ParseError, read_graph, write_graph
 from .graphs import gen_gnp
-from .oracles import alpha_exact, graph_stats
+from .oracles import graph_stats
 from .pipeline import (
     PipelineParams,
     PreconditionRefusal,
@@ -134,8 +134,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             params = PipelineParams(mode=args.mode, alpha_budget=args.budget_nodes)
             try:
                 if args.case == "dense":
-                    alpha = alpha_exact(g, args.budget_nodes)
-                    report = sigma_lower_dense(g, alpha, params, args.seed)
+                    report = sigma_lower_dense(g, None, params, args.seed)
                 elif args.case == "sparse":
                     report = sigma_lower_sparse(g, params, 0, args.seed)
                 else:

@@ -5,8 +5,9 @@ The partition step redraws a balanced bipartition until the crossing-edge
 bound e(V1,V2) >= (d/2)*C(n,2) holds (an expectation argument guarantees a
 satisfying draw exists).  The hub step is derandomized: it scans every
 candidate hub in V2, scoring |X|^2 - 40*b exactly, so certificates are
-reproducible.  Pair common-neighbor counts are computed as one dense matrix
-product, which is what makes the scan feasible at n ~ 6400.
+reproducible.  Pair common-neighbor counts come from dense matrix products
+over square tiles of V1 x V1, so the scan is feasible at n ~ 6400 while only
+one tile of the pair matrix exists at a time.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .graphs import Graph, bits, edge_density, vertex_mask
+from .graphs import Graph, _unpack_rows, bits, edge_density, vertex_mask
 
 __all__ = [
     "DrcCertificate",
@@ -128,16 +129,35 @@ def crossing_edges(g: Graph, v1: Iterable[int], v2: Iterable[int]) -> int:
     return sum((g.rows[v] & v2mask).bit_count() for v in v1)
 
 
-def _common_neighbor_matrix(g: Graph, v1: tuple[int, ...], v2: tuple[int, ...]):
-    """(A12, common): bipartite adjacency and pairwise common-neighbor counts
-    of V1 vertices on the V2 side, exact integers."""
-    mat = g.bool_matrix()
-    a12 = mat[np.ix_(v1, v2)]
-    # float32 matmul is exact for integer counts below 2^24
-    dtype = np.float32 if len(v1) * max(len(v1), 1) < (1 << 23) else np.float64
-    a = a12.astype(dtype)
-    common = a @ a.T
-    return a12, a, common
+# rows and columns of one tile of the V1 x V1 pair matrix in the hub scan
+_SCAN_BLOCK = 256
+
+
+def _bad_pairs_per_hub(a: np.ndarray, tau: int, block: int = _SCAN_BLOCK) -> np.ndarray:
+    """Bad pairs inside X_j for every hub column j, as int64.
+
+    ``a`` is the 0/1 adjacency between V1 (rows) and V2 (columns) as floats.
+    A pair of V1 is bad iff its common-neighbor count a @ a.T is <= tau.
+    The pair matrix is symmetric, so only the tiles on and above its
+    diagonal are formed, one ``block`` x ``block`` tile at a time; a tile
+    with no bad pair costs no second product.  Tile sums are at most
+    block^2, so every float is an exact integer.
+    """
+    k = a.shape[0]
+    ordered = np.zeros(a.shape[1], dtype=np.int64)  # ordered bad pairs per hub
+    for lo in range(0, k, block):
+        rows = a[lo : lo + block]
+        for lo2 in range(lo, k, block):
+            cols = a[lo2 : lo2 + block]
+            bad = rows @ cols.T <= tau
+            if lo2 == lo:
+                np.fill_diagonal(bad, False)
+            if not bad.any():
+                continue
+            tile = np.einsum("ij,ij->j", rows, bad.astype(a.dtype) @ cols)
+            # an off-diagonal tile stands for itself and its transpose
+            ordered += (1 if lo2 == lo else 2) * tile.astype(np.int64)
+    return ordered // 2
 
 
 def drc_select(
@@ -174,15 +194,13 @@ def drc_select(
         raise ValueError("empty far side")
 
     tau = int(d * d * n // 800)  # floor(d^2*n/800)
-    a12, a, common = _common_neighbor_matrix(g, v1, v2)
-    bad = common <= tau
-    np.fill_diagonal(bad, False)
-    badf = bad.astype(a.dtype)
-    # b per hub j: half the number of ordered bad pairs inside X_j
-    mm = badf @ a
-    b_per_hub = np.einsum("ij,ij->j", a, mm) / 2.0
-    x_sizes = a12.sum(axis=0).astype(np.int64)
-    scores = x_sizes * x_sizes - 40 * b_per_hub.astype(np.int64)
+    # float32 matmul is exact for integer counts below 2^24
+    dtype = np.float32 if len(v1) * max(len(v1), 1) < (1 << 23) else np.float64
+    # unpack the V1 rows alone: the scan builds and caches no n x n matrix
+    a = _unpack_rows(n, [g.rows[v] for v in v1])[:, v2].astype(dtype)
+    b_per_hub = _bad_pairs_per_hub(a, tau)
+    x_sizes = a.sum(axis=0).astype(np.int64)
+    scores = x_sizes * x_sizes - 40 * b_per_hub
     j = int(np.argmax(scores))  # first maximum = lowest hub label
     hub = v2[j]
     score = int(scores[j])
@@ -192,11 +210,15 @@ def drc_select(
         raise AssertionError(
             "no hub met the derandomization bound; partition contract violated"
         )
-    x_idx = np.nonzero(a12[:, j])[0]
+    x_idx = np.nonzero(a[:, j])[0]
     x_set = tuple(int(v1[i]) for i in x_idx)
     x_size = len(x_set)
-    bad_sub = bad[np.ix_(x_idx, x_idx)]
-    bad_counts = bad_sub.sum(axis=1).astype(np.int64)
+    # recount inside X alone, in row blocks, as a check on the scan
+    bad_counts = np.empty(x_size, dtype=np.int64)
+    for lo in range(0, x_size, _SCAN_BLOCK):
+        bad = (a[x_idx[lo : lo + _SCAN_BLOCK]] @ a.T)[:, x_idx] <= tau
+        np.fill_diagonal(bad[:, lo:], False)
+        bad_counts[lo : lo + _SCAN_BLOCK] = bad.sum(axis=1)
     b = int(bad_counts.sum()) // 2
     if b != int(b_per_hub[j]):
         raise AssertionError("bad-pair recount disagrees with the scan")

@@ -5,9 +5,11 @@ coloring-to-subdivision gap.
 Each (n, seed) cell produces one record.  A sound chromatic lower bound
 needs the exact independence number (ceil(n/alpha)); when the oracle budget
 runs out the record falls back to a greedy clique, which is always sound,
-and tags itself heuristic.  The subdivision upper bound comes from the
-clique-counting certificate and is recorded as absent when the clique
-number is not exact within budget.
+and tags itself heuristic.  A cell searches for neither the clique number
+nor a subdivision upper bound: a record carries one (``sigma_upper_t``, and
+with it ``ratio_lower``) only when the certified-gap search, which computes
+the clique-counting certificate from an exact clique number, passes its
+certificate in.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from typing import Iterable, Optional, Sequence
 from .graphs import gen_gnp
 from .oracles import (
     DEFAULT_BUDGET,
+    SigmaUpperCert,
+    Tagged,
     alpha_exact,
     dsatur_upper,
     greedy_clique_lower,
@@ -45,6 +49,10 @@ OPTIMAL_P = 1 - math.exp(-2)
 
 @dataclass(frozen=True)
 class SweepBudgets:
+    """Oracle node budgets.  ``omega_nodes`` bounds the clique-number search
+    of :func:`find_certified_ratio_violation` only; sweep cells never search
+    for the clique number."""
+
     alpha_nodes: int = DEFAULT_BUDGET
     omega_nodes: int = 300_000
     tiny_sigma_max_n: int = 12
@@ -53,8 +61,10 @@ class SweepBudgets:
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One sweep cell.  ``ratio_lower`` is a certified lower bound on the
-    coloring/subdivision ratio (present only when both sides are exact);
+    """One sweep cell.  ``sigma_upper_t`` is a certified subdivision upper
+    bound (sigma < t), present only when the cell was given one;
+    ``ratio_lower`` is a certified lower bound on the coloring/subdivision
+    ratio (present only when both sides are exact);
     ``ratio_point`` compares the achieved coloring to the certified
     subdivision, and ``reference`` is sqrt(n)/log(n)."""
 
@@ -80,10 +90,17 @@ def _cell(
     seed: int,
     budgets: SweepBudgets,
     params: PipelineParams,
+    alpha: Optional[Tagged] = None,
+    sigma_upper: Optional[SigmaUpperCert] = None,
 ) -> ExperimentRecord:
+    """The record of G(n, p, seed).  ``alpha``, when given, is this graph's
+    ``alpha_exact`` result within ``budgets.alpha_nodes``; ``sigma_upper``
+    is a subdivision upper certificate for this graph, the only source of
+    ``sigma_upper_t``."""
     g = gen_gnp(n, p, seed)
     chi_upper, _ = dsatur_upper(g)
-    alpha = alpha_exact(g, budgets.alpha_nodes)
+    if alpha is None:
+        alpha = alpha_exact(g, budgets.alpha_nodes)
     if alpha.exact:
         chi_lower = -(-n // alpha.value)
         chi_tag = "exact"
@@ -92,12 +109,7 @@ def _cell(
         # is always a valid chromatic lower bound
         chi_lower = max(1, greedy_clique_lower(g).value)
         chi_tag = "heuristic"
-    omega = omega_exact(g, budgets.omega_nodes)
-    sigma_upper_t: Optional[int] = None
-    if omega.exact:
-        cert = sigma_upper_cert(g, omega)
-        if cert is not None:
-            sigma_upper_t = cert.t
+    sigma_upper_t = None if sigma_upper is None else sigma_upper.t
     # hand alpha down only where it is the result the pipeline's own
     # search, with its own budget, would return
     same_search = budgets.alpha_nodes == params.alpha_budget or (
@@ -196,7 +208,9 @@ def find_certified_ratio_violation(
     """Search for a fully certified chi > sigma instance: exact ceil(n/alpha)
     strictly above the counting certificate's threshold.
 
-    Escalates through ``ns`` and returns (record, log).  When no instance
+    Escalates through ``ns`` and returns (record, log).  The record is the
+    sweep cell of the certified graph, built with this search's alpha and
+    counting certificate, so it carries ``sigma_upper_t``.  When no instance
     certifies within budget the record is None and the log reports the best
     achieved gap instead; the caller is expected to surface that log.
     """
@@ -230,10 +244,10 @@ def find_certified_ratio_violation(
                 )
             if chi_lower > cert.t:
                 log.append(f"CERTIFIED chi > sigma at {best_desc}")
-                return (
-                    _cell(n, p, seed, budgets, PipelineParams.practical()),
-                    log,
+                record = _cell(
+                    n, p, seed, budgets, PipelineParams.practical(), alpha, cert
                 )
+                return record, log
     if best_gap is not None:
         log.append(f"no certified violation within budget; best gap {best_desc}")
     else:

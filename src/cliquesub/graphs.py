@@ -129,12 +129,12 @@ class Graph:
 
 
 def _unpack_rows(n: int, rows: Sequence[int]) -> np.ndarray:
-    """n x n uint8 matrix whose entry (i, j) is bit j of ``rows[i]``."""
+    """len(rows) x n uint8 matrix whose entry (i, j) is bit j of ``rows[i]``."""
     nbytes = (n + 7) // 8
-    buf = bytearray(n * nbytes)
+    buf = bytearray(len(rows) * nbytes)
     for v, row in enumerate(rows):
         buf[v * nbytes : (v + 1) * nbytes] = row.to_bytes(nbytes, "little")
-    arr = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(n, nbytes)
+    arr = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(len(rows), nbytes)
     return np.unpackbits(arr, axis=1, bitorder="little", count=n)
 
 

@@ -243,7 +243,7 @@ def _build(
 
 def sigma_lower_dense(
     g: Graph,
-    alpha: Tagged | int,
+    alpha: Tagged | int | None,
     params: PipelineParams,
     seed: int = 0,
 ) -> BoundReport:
@@ -253,9 +253,19 @@ def sigma_lower_dense(
     with c = ``C_DENSITY``.  Past that, a complete graph is its own
     subdivision; otherwise the extraction gate d^2*n >= 1600 must hold, and
     the report carries the best certificate the greedy builder achieves.
+
+    ``alpha`` of None is searched for here with ``params.alpha_budget``,
+    after the paper-mode refusals on n and d, which need none.
     """
     n = g.n
     d = edge_density(g).fraction
+    if params.mode == "paper" and n > 0:
+        if n < 1e14 * C_DENSITY**-5:
+            raise PreconditionRefusal(REQ_DENSE_N, f"n = {n}")
+        if float(d) < C_DENSITY:
+            raise PreconditionRefusal(REQ_DENSE_D, f"d = {float(d):.6g}")
+    if alpha is None:
+        alpha = alpha_exact(g, params.alpha_budget)
     a_val, a_exact = _alpha_value(alpha)
     flags = [] if a_exact else ["heuristic-alpha"]
     transcript: list[dict] = [
@@ -264,13 +274,8 @@ def sigma_lower_dense(
     ]
     if n == 0:
         return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
-    if params.mode == "paper":
-        if n < 1e14 * C_DENSITY**-5:
-            raise PreconditionRefusal(REQ_DENSE_N, f"n = {n}")
-        if float(d) < C_DENSITY:
-            raise PreconditionRefusal(REQ_DENSE_D, f"d = {float(d):.6g}")
-        if a_val > 2 * math.log(n):
-            raise PreconditionRefusal(REQ_DENSE_ALPHA, f"alpha = {a_val}")
+    if params.mode == "paper" and a_val > 2 * math.log(n):
+        raise PreconditionRefusal(REQ_DENSE_ALPHA, f"alpha = {a_val}")
     if a_val <= 1:
         # independence number 1 means the graph is complete
         cert = build_subdivision(g, range(n), ())

@@ -9,12 +9,22 @@ from __future__ import annotations
 
 import gc
 import random
+from fractions import Fraction
 from itertools import combinations
+from typing import Iterable
 
+import numpy as np
 import pytest
 
+from cliquesub.drc import (
+    DRC_DENSITY_REQUIREMENT,
+    DrcCertificate,
+    PreconditionRefusal,
+    _measure_path_bound,
+    crossing_edges,
+)
 from cliquesub.graph_io import _GRAPH6_HEADER, ParseError, _g6_decode_n, _g6_encode_n
-from cliquesub.graphs import Graph, bits, new_graph
+from cliquesub.graphs import Graph, bits, edge_density, new_graph
 from cliquesub.oracles import (
     TAG_EXACT,
     TAG_HEURISTIC,
@@ -234,6 +244,107 @@ def reference_max_clique_core(rows: tuple[int, ...], n: int, budget: int) -> Tag
     del expand
     tag = TAG_EXACT if exhausted else TAG_HEURISTIC
     return Tagged(best_size, tuple(bits(best_mask)), tag, nodes)
+
+
+def reference_common_neighbor_matrix(g: Graph, v1: tuple[int, ...], v2: tuple[int, ...]):
+    """(A12, common): bipartite adjacency and pairwise common-neighbor counts
+    of V1 vertices on the V2 side, exact integers."""
+    mat = g.bool_matrix()
+    a12 = mat[np.ix_(v1, v2)]
+    # float32 matmul is exact for integer counts below 2^24
+    dtype = np.float32 if len(v1) * max(len(v1), 1) < (1 << 23) else np.float64
+    a = a12.astype(dtype)
+    common = a @ a.T
+    return a12, a, common
+
+
+def reference_drc_select(
+    g: Graph,
+    v1: Iterable[int],
+    v2: Iterable[int],
+    mode: str = "paper",
+    path_sample: int = 100,
+) -> DrcCertificate:
+    """Derandomized hub selection with the full V1 x V1 pair matrix: the
+    scan that the tiled ``drc_select`` replaced.  ``drc_select`` must return
+    the same ``DrcCertificate``.
+
+    Scans every candidate hub, computes X = N(hub) in V1 and the exact bad
+    pair count b inside X, and keeps the maximizer of |X|^2 - 40*b (ties to
+    the lowest hub label).  Vertices of X that form bad pairs with at least
+    |X|/4 of X are discarded; the first ceil(|X|/5) survivors in label order
+    form U.  Paper mode refuses unless d^2*n >= 1600.
+    """
+    if mode not in ("paper", "practical"):
+        raise ValueError(f"unknown mode {mode!r}")
+    n = g.n
+    d = edge_density(g).fraction
+    if mode == "paper" and d * d * n < 1600:
+        raise PreconditionRefusal(
+            DRC_DENSITY_REQUIREMENT, f"d^2*n = {float(d * d * n):.6g}"
+        )
+    v1 = tuple(sorted(v1))
+    v2 = tuple(sorted(v2))
+    if set(v1) & set(v2) or set(v1) | set(v2) != set(range(n)):
+        raise ValueError("v1, v2 must partition the vertex set")
+    crossing = crossing_edges(g, v1, v2)
+    if 2 * crossing < g.m:
+        raise ValueError("partition does not meet its crossing-edge contract")
+    if not v2:
+        raise ValueError("empty far side")
+
+    tau = int(d * d * n // 800)  # floor(d^2*n/800)
+    a12, a, common = reference_common_neighbor_matrix(g, v1, v2)
+    bad = common <= tau
+    np.fill_diagonal(bad, False)
+    badf = bad.astype(a.dtype)
+    # b per hub j: half the number of ordered bad pairs inside X_j
+    mm = badf @ a
+    b_per_hub = np.einsum("ij,ij->j", a, mm) / 2.0
+    x_sizes = a12.sum(axis=0).astype(np.int64)
+    scores = x_sizes * x_sizes - 40 * b_per_hub.astype(np.int64)
+    j = int(np.argmax(scores))  # first maximum = lowest hub label
+    hub = v2[j]
+    score = int(scores[j])
+    # existence is guaranteed by the expectation argument whenever the
+    # partition met its contract; a miss here is a bug, not an input error
+    if Fraction(score) < d * d * n * n / 80:
+        raise AssertionError(
+            "no hub met the derandomization bound; partition contract violated"
+        )
+    x_idx = np.nonzero(a12[:, j])[0]
+    x_set = tuple(int(v1[i]) for i in x_idx)
+    x_size = len(x_set)
+    bad_sub = bad[np.ix_(x_idx, x_idx)]
+    bad_counts = bad_sub.sum(axis=1).astype(np.int64)
+    b = int(bad_counts.sum()) // 2
+    if b != int(b_per_hub[j]):
+        raise AssertionError("bad-pair recount disagrees with the scan")
+    # a vertex is bad if it forms bad pairs with >= |X|/4 of X
+    is_bad_vertex = 4 * bad_counts >= x_size
+    survivors = [x_set[i] for i in range(x_size) if not is_bad_vertex[i]]
+    u_size = -(-x_size // 5)  # ceil(|X|/5)
+    if len(survivors) < u_size:
+        raise AssertionError("more than |X|/5 bad vertices; b bound violated")
+    u_set = tuple(survivors[:u_size])
+
+    paper_bound_frac = Fraction(d**5 * n, 10**9)
+    paper_bound = -(-paper_bound_frac.numerator // paper_bound_frac.denominator)
+    if mode == "paper":
+        path_bound = paper_bound
+    else:
+        path_bound = _measure_path_bound(g, u_set, max(1, paper_bound), path_sample)
+    return DrcCertificate(
+        v1=v1,
+        v2=v2,
+        hub=hub,
+        x_set=x_set,
+        bad_pair_count=b,
+        u_set=u_set,
+        good_threshold=tau,
+        path_bound=path_bound,
+        mode=mode,
+    )
 
 
 def reference_to_graph6(g: Graph) -> str:

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from cliquesub import cli, pipeline
 from cliquesub.cli import cli_main
 from cliquesub.graph_io import read_graph, write_graph
 from cliquesub.subdivision import SubdivisionCertificate
@@ -91,6 +92,26 @@ class TestPipelineVerify:
         run("gen", "--n", "100", "--p", "0.9", "--seed", "1", "--out", str(gpath))
         assert run("pipeline", str(gpath), "--case", "dense", "--mode", "paper") == 2
         assert "refused" in capsys.readouterr().err
+
+    def test_paper_dense_refusal_searches_no_alpha(self, tmp_path, capsys, monkeypatch):
+        # the refusal on n needs no alpha, so none is searched for first
+        calls = []
+
+        def counted(g, *args):
+            calls.append(g.n)
+            raise AssertionError("alpha searched before a refusal that needs none")
+
+        monkeypatch.setattr(cli, "alpha_exact", counted, raising=False)
+        monkeypatch.setattr(pipeline, "alpha_exact", counted)
+        gpath = tmp_path / "g.g6"
+        run("gen", "--n", "300", "--p", "0.86", "--format", "graph6", "--out", str(gpath))
+        capsys.readouterr()
+        argv = ("pipeline", str(gpath), "--format", "graph6", "--case", "dense", "--mode", "paper")
+        assert run(*argv) == 2
+        assert calls == []
+        assert capsys.readouterr().err == (
+            f"refused: hypothesis not met: {pipeline.REQ_DENSE_N} (n = 300)\n"
+        )
 
 
 class TestSweep:

@@ -2,22 +2,25 @@ import sys
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
 import pytest
 
 from cliquesub.drc import (
+    _SCAN_BLOCK,
     DrcCertificate,
     PartitionError,
     PreconditionRefusal,
     count_disjoint_paths4,
+    _bad_pairs_per_hub,
     crossing_edges,
     drc_partition,
     drc_select,
     verify_drc_certificate,
 )
 from cliquesub.experiments import OPTIMAL_P
-from cliquesub.graphs import edge_density, gen_gnp, new_graph
+from cliquesub.graphs import Graph, _pack_rows, edge_density, gen_gnp, new_graph
 from cliquesub.pipeline import PipelineParams, sigma_lower_auto
-from conftest import complete, cycle, empty, random_graph
+from conftest import complete, cycle, empty, random_graph, reference_drc_select
 
 
 def brute_max_disjoint_paths4(g, u, v, forbidden=()):
@@ -152,6 +155,76 @@ class TestSelect:
         report = sigma_lower_auto(g, PipelineParams.practical(), 56)
         (hub,) = [step for step in report.transcript if step["step"] == "hub"]
         assert hub["u_size"] >= 2 and hub["path_bound"] == 1
+
+
+class TestTiledScan:
+    """The tiled hub scan against the full-matrix scan it replaced."""
+
+    @pytest.mark.parametrize(
+        "n, p, seed",
+        [
+            (600, 0.95, 1),  # |V1| = 300, not a multiple of the block
+            (1024, 0.95, 2),  # |V1| = 512, two whole blocks
+            (601, OPTIMAL_P, 3),  # odd n: |V1| = 301, |V2| = 300
+            (201, OPTIMAL_P, 4),  # |V1| = 101, below the block
+            (777, OPTIMAL_P, 5),  # |V1| = 389
+        ],
+    )
+    def test_certificate_equals_full_matrix_scan(self, n, p, seed):
+        g = gen_gnp(n, p, seed)
+        v1, v2 = drc_partition(g, seed)
+        assert len(v1) - len(v2) == n % 2
+        got = drc_select(g, v1, v2, mode="practical")
+        assert got == reference_drc_select(g, v1, v2, mode="practical")
+
+    def test_bad_pairs_equal_full_matrix_scan(self):
+        # on G(n, p) no pair has at most tau common neighbours; here w's only
+        # far-side neighbour is h, and h sees all of V1, so with tau = 1 X(h)
+        # holds |X| - 1 bad pairs, and w sits in the first block of the
+        # recount while its partners run on into the later ones
+        g0 = gen_gnp(1700, 0.7, 11)
+        v1, v2 = drc_partition(g0, 11)
+        h, w = v2[0], v1[10]
+        mat = g0.bool_matrix().copy()
+        mat[h, list(v1)] = mat[list(v1), h] = True
+        mat[w, list(v2)] = mat[list(v2), w] = False
+        mat[w, h] = mat[h, w] = True
+        g = Graph(g0.n, _pack_rows(mat))
+        got = drc_select(g, v1, v2, mode="practical")
+        assert (got.good_threshold, got.hub, got.bad_pair_count) == (1, h, len(v1) - 1)
+        assert w in got.x_set and w not in got.u_set
+        assert got == reference_drc_select(g, v1, v2, mode="practical")
+
+    def test_paper_mode_equals_full_matrix_scan(self):
+        g = gen_gnp(2000, 0.95, 0)  # d^2*n ~ 1800 passes the paper gate
+        v1, v2 = drc_partition(g, 0)
+        assert drc_select(g, v1, v2) == reference_drc_select(g, v1, v2)
+
+    @staticmethod
+    def full_matrix_counts(a: np.ndarray, tau: int) -> np.ndarray:
+        """Bad pairs inside each X_j by exact integer arithmetic."""
+        ai = a.astype(np.int64)
+        bad = (ai @ ai.T <= tau).astype(np.int64)
+        np.fill_diagonal(bad, 0)
+        return np.einsum("ij,ij->j", ai, bad @ ai) // 2
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("k", [1, 5, 101, 300])
+    def test_counts_equal_exact_arithmetic(self, dtype, k):
+        # tau at the median common-neighbour count makes half the pairs bad,
+        # so every tile takes the second product; row densities from 0.02 to
+        # 0.5 give some rows a degree <= tau, whose diagonal entry the scan
+        # must skip
+        rng = np.random.default_rng(k)
+        a = (rng.random((k, 90)) < rng.uniform(0.02, 0.5, (k, 1))).astype(dtype)
+        common = a @ a.T
+        tau = int(np.median(common[np.triu_indices(k, 1)])) if k > 1 else 0
+        want = self.full_matrix_counts(a, tau)
+        assert k == 1 or want.sum() > 0
+        for block in (1, 7, 64, _SCAN_BLOCK):
+            got = _bad_pairs_per_hub(a, tau, block)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, want), block
 
 
 class TestCountDisjointPaths:

@@ -13,7 +13,8 @@ from cliquesub.experiments import (
     records_from_json,
     run_ratio_sweep,
 )
-from cliquesub.oracles import alpha_exact
+from cliquesub.graphs import gen_gnp
+from cliquesub.oracles import SigmaUpperCert, alpha_exact, omega_exact, sigma_upper_cert
 from cliquesub.pipeline import PipelineParams
 
 
@@ -150,3 +151,71 @@ class TestAlphaReuse:
         params = PipelineParams.practical(alpha_budget=5)
         run_ratio_sweep([200], OPTIMAL_P, 1, self.BUDGETS, params)
         assert calls == [200, 200]
+
+
+class TestUpperCertificateHandedIn:
+    """A cell never searches for omega; its sigma upper bound, and with it
+    ``ratio_lower``, comes only from a certificate passed in by the gap
+    search."""
+
+    PRACTICAL = PipelineParams.practical()
+
+    @staticmethod
+    def count(monkeypatch, module, name) -> list[int]:
+        calls = []
+        original = getattr(module, name)
+
+        def counted(g, *args):
+            calls.append(g.n)
+            return original(g, *args)
+
+        monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_cell_searches_no_omega(self, monkeypatch):
+        calls = self.count(monkeypatch, experiments, "omega_exact")
+        r = experiments._cell(200, OPTIMAL_P, 0, SweepBudgets(), self.PRACTICAL)
+        assert calls == []
+        assert (r.sigma_upper_t, r.ratio_lower) == (None, None)
+
+    def test_certificate_sets_upper_fields(self):
+        g = gen_gnp(40, OPTIMAL_P, 0)
+        cert = sigma_upper_cert(g, omega_exact(g))
+        assert cert is not None
+        plain = experiments._cell(40, OPTIMAL_P, 0, SweepBudgets(), self.PRACTICAL)
+        r = experiments._cell(
+            40, OPTIMAL_P, 0, SweepBudgets(), self.PRACTICAL, sigma_upper=cert
+        )
+        assert r.chi_lower_tag == "exact"
+        assert r.sigma_upper_t == cert.t
+        assert r.ratio_lower == r.chi_lower / cert.t
+        assert r == ExperimentRecord(
+            **{**plain.to_json_dict(), "sigma_upper_t": cert.t, "ratio_lower": r.ratio_lower}
+        )
+
+    def test_lower_bound_meeting_the_certificate_raises(self):
+        r = experiments._cell(80, OPTIMAL_P, 0, SweepBudgets(), self.PRACTICAL)
+        assert r.sigma_lower > 1
+        fake = SigmaUpperCert(r.sigma_lower, 2, 0, r.sigma_lower, 80)
+        with pytest.raises(AssertionError, match="met the counting upper"):
+            experiments._cell(
+                80, OPTIMAL_P, 0, SweepBudgets(), self.PRACTICAL, sigma_upper=fake
+            )
+
+    def test_gap_search_searches_alpha_once_per_graph(self, monkeypatch):
+        alpha_calls = self.count(monkeypatch, experiments, "alpha_exact")
+        pipeline_calls = self.count(monkeypatch, pipeline, "alpha_exact")
+        rec, _ = find_certified_ratio_violation([40, 60], seeds_per_n=2)
+        assert rec is None
+        assert alpha_calls == [40, 40, 60, 60] and pipeline_calls == []
+
+        # a certificate below ceil(n/alpha) = 20 and above sigma_lower = 8 on
+        # G(80, 1 - e^-2, 0): the search returns the record of that graph
+        alpha_calls.clear()
+        fake = SigmaUpperCert(10, 2, 0, 10, 80)
+        monkeypatch.setattr(experiments, "sigma_upper_cert", lambda g, omega: fake)
+        rec, log = find_certified_ratio_violation([80])
+        assert alpha_calls == [80] and pipeline_calls == []
+        assert log[-1].startswith("CERTIFIED")
+        assert (rec.n, rec.seed, rec.chi_lower, rec.sigma_lower) == (80, 0, 20, 8)
+        assert (rec.sigma_upper_t, rec.ratio_lower) == (10, 2.0)
