@@ -5,7 +5,8 @@ Paper mode checks the hypotheses of the proven statements: at desk scale
 it refuses, naming the failed hypothesis.  Practical mode checks only the
 extraction gate, runs the shared extract and build steps and hands back a
 verified certificate.  The pure-arithmetic calculators evaluate the two-regime
-lower-bound formula and replay the ratio-bound induction step.
+lower-bound formula and replay the ratio-bound induction step, with the
+paper's constants c1, c2 and C fixed in ``cliquesub.pipeline``.
 """
 
 from cliquesub import (
@@ -51,12 +52,11 @@ print("=" * 64)
 print("  arithmetic calculators")
 print("=" * 64)
 
-params = PipelineParams.paper()
 for n, a in ((10**6, 1), (10**6, 10), (10**6, 100)):
-    fb = subdivision_bound_dispatch(n, a, params)
+    fb = subdivision_bound_dispatch(n, a)
     print(f"\nn={n:.0e}, alpha={a}: regime {fb.regime}, floor {fb.value:.3e}")
 
-rep = check_ratio_induction_step(1e150, 1e130, params)
+rep = check_ratio_induction_step(1e150, 1e130)
 print(f"\ninduction step at n=1e150, k=1e130: branch={rep.branch}")
 for name, lhs, rhs, ok in rep.checks:
     print(f"  {'ok  ' if ok else 'FAIL'} {name:38s} {lhs:.4g} vs {rhs:.4g}")

@@ -90,10 +90,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _fmt_tagged(t) -> str:
-    return f"{t.value} [{t.tag}]"
-
-
 def cli_main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     try:
@@ -179,16 +175,15 @@ def cli_main(argv: list[str] | None = None) -> int:
             return 0
 
         if args.command == "bounds":
-            params = PipelineParams()
             if args.alpha is not None:
-                fb = subdivision_bound_dispatch(int(args.n), args.alpha, params)
+                fb = subdivision_bound_dispatch(int(args.n), args.alpha)
                 print(f"regime: {fb.regime}")
                 print(f"value: {fb.value:.6g}")
                 print(f"part1: {fb.part1:.6g}")
                 if fb.part2 is not None:
                     print(f"part2: {fb.part2:.6g}")
             if args.k is not None:
-                rep = check_ratio_induction_step(args.n, args.k, params)
+                rep = check_ratio_induction_step(args.n, args.k)
                 print(f"branch: {rep.branch}")
                 for name, lhs, rhs, ok in rep.checks:
                     print(f"  {'ok ' if ok else 'FAIL'} {name}: {lhs:.6g} vs {rhs:.6g}")

@@ -62,12 +62,10 @@ class DrcCertificate:
 
     ``good_threshold`` is floor(d^2*n/800): a pair is bad iff its
     common-neighbor count on the far side is <= this cutoff.
-    ``path_bound`` is the per-pair internally-disjoint length-4 path count.
-    In paper mode it is the proven guarantee ceil(1e-9*d^5*n).  In practical
-    mode it is the minimum over sampled pairs of U of that count capped at
-    max(1, ceil(1e-9*d^5*n)).  The cap is 1 unless n > 10^9/d^5, so on any
-    graph that fits in memory the field records whether every sampled pair
-    has a length-4 path avoiding the rest of U (1) or some pair has none (0).
+    ``path_bound`` is the paper's per-pair guarantee ceil(1e-9*d^5*n) of
+    internally disjoint length-4 paths, recorded in paper mode only.  In
+    practical mode it is None: the route's evidence there is the verified
+    length-4 subdivision built on U, not a path count.
     """
 
     v1: tuple[int, ...]
@@ -77,7 +75,7 @@ class DrcCertificate:
     bad_pair_count: int
     u_set: tuple[int, ...]
     good_threshold: int
-    path_bound: int
+    path_bound: Optional[int]
     mode: str
 
     def to_json_dict(self) -> dict:
@@ -115,8 +113,7 @@ def drc_partition(
         perm = rng.permutation(n)
         v1 = tuple(sorted(int(x) for x in perm[:half]))
         v2 = tuple(sorted(int(x) for x in perm[half:]))
-        v2mask = vertex_mask(v2)
-        crossing = sum((g.rows[v] & v2mask).bit_count() for v in v1)
+        crossing = crossing_edges(g, v1, v2)
         if 2 * crossing >= g.m:
             return v1, v2
         if crossing > best_crossing:
@@ -165,7 +162,6 @@ def drc_select(
     v1: Iterable[int],
     v2: Iterable[int],
     mode: str = "paper",
-    path_sample: int = 100,
 ) -> DrcCertificate:
     """Derandomized hub selection over all of V2.
 
@@ -173,7 +169,8 @@ def drc_select(
     pair count b inside X, and keeps the maximizer of |X|^2 - 40*b (ties to
     the lowest hub label).  Vertices of X that form bad pairs with at least
     |X|/4 of X are discarded; the first ceil(|X|/5) survivors in label order
-    form U.  Paper mode refuses unless d^2*n >= 1600.
+    form U.  Paper mode refuses unless d^2*n >= 1600 and records the
+    paper's path guarantee; practical mode records none.
     """
     if mode not in ("paper", "practical"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -194,10 +191,10 @@ def drc_select(
         raise ValueError("empty far side")
 
     tau = int(d * d * n // 800)  # floor(d^2*n/800)
-    # float32 matmul is exact for integer counts below 2^24
-    dtype = np.float32 if len(v1) * max(len(v1), 1) < (1 << 23) else np.float64
-    # unpack the V1 rows alone: the scan builds and caches no n x n matrix
-    a = _unpack_rows(n, [g.rows[v] for v in v1])[:, v2].astype(dtype)
+    # float32 is exact for integers below 2^24, and no count or sum in this
+    # scan exceeds max(|V1|, _SCAN_BLOCK^2).  Only the V1 rows are unpacked:
+    # the scan builds and caches no n x n matrix.
+    a = _unpack_rows(n, [g.rows[v] for v in v1])[:, v2].astype(np.float32)
     b_per_hub = _bad_pairs_per_hub(a, tau)
     x_sizes = a.sum(axis=0).astype(np.int64)
     scores = x_sizes * x_sizes - 40 * b_per_hub
@@ -230,12 +227,10 @@ def drc_select(
         raise AssertionError("more than |X|/5 bad vertices; b bound violated")
     u_set = tuple(survivors[:u_size])
 
-    paper_bound_frac = Fraction(d**5 * n, 10**9)
-    paper_bound = -(-paper_bound_frac.numerator // paper_bound_frac.denominator)
+    path_bound = None
     if mode == "paper":
-        path_bound = paper_bound
-    else:
-        path_bound = _measure_path_bound(g, u_set, max(1, paper_bound), path_sample)
+        bound = Fraction(d**5 * n, 10**9)
+        path_bound = -(-bound.numerator // bound.denominator)
     return DrcCertificate(
         v1=v1,
         v2=v2,
@@ -247,47 +242,6 @@ def drc_select(
         path_bound=path_bound,
         mode=mode,
     )
-
-
-def _sampled_pairs(u_set: tuple[int, ...], sample: int) -> list[tuple[int, int]]:
-    """Deterministic pair sample: all pairs if few, else an even stride
-    through the lexicographic pair sequence."""
-    k = len(u_set)
-    total = k * (k - 1) // 2
-    if total <= sample:
-        return [(u_set[i], u_set[j]) for i in range(k) for j in range(i + 1, k)]
-    picks = sorted({round(i * (total - 1) / (sample - 1)) for i in range(sample)})
-    pairs = []
-    rank = 0
-    want = iter(picks)
-    target = next(want)
-    for i in range(k):
-        for jj in range(i + 1, k):
-            if rank == target:
-                pairs.append((u_set[i], u_set[jj]))
-                nxt = next(want, None)
-                if nxt is None:
-                    return pairs
-                target = nxt
-            rank += 1
-    return pairs
-
-
-def _measure_path_bound(
-    g: Graph, u_set: tuple[int, ...], cap: int, sample: int
-) -> int:
-    if len(u_set) < 2:
-        return 0
-    forbidden = set(u_set)
-    best = cap
-    for u, v in _sampled_pairs(u_set, sample):
-        got = count_disjoint_paths4(
-            g, u, v, forbidden - {u, v}, limit=cap
-        )
-        best = min(best, got)
-        if best == 0:
-            break
-    return best
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ coloring-to-subdivision gap.
 Each (n, seed) cell produces one record.  A sound chromatic lower bound
 needs the exact independence number (ceil(n/alpha)); when the oracle budget
 runs out the record falls back to a greedy clique, which is always sound,
-and tags itself heuristic.  A cell searches for neither the clique number
-nor a subdivision upper bound: a record carries one (``sigma_upper_t``, and
-with it ``ratio_lower``) only when the certified-gap search, which computes
-the clique-counting certificate from an exact clique number, passes its
-certificate in.
+and tags itself heuristic.  A cell searches for alpha once, within
+``SweepBudgets.alpha_nodes``, and hands the result to the practical-mode
+pipeline, whose alpha budget is the same.  A cell searches for neither the
+clique number nor a subdivision upper bound: a record carries one
+(``sigma_upper_t``, and with it ``ratio_lower``) only when the certified-gap
+search, which computes the clique-counting certificate from an exact clique
+number, passes its certificate in.
 """
 
 from __future__ import annotations
@@ -46,17 +48,21 @@ __all__ = [
 
 OPTIMAL_P = 1 - math.exp(-2)
 
+# Cells up to this order also take the exact subdivision number as their
+# lower bound, when its search ends within the node budget.
+TINY_SIGMA_MAX_N = 12
+TINY_SIGMA_NODES = 200_000
+
 
 @dataclass(frozen=True)
 class SweepBudgets:
-    """Oracle node budgets.  ``omega_nodes`` bounds the clique-number search
-    of :func:`find_certified_ratio_violation` only; sweep cells never search
-    for the clique number."""
+    """Oracle node budgets.  ``alpha_nodes`` bounds the one alpha search of
+    a graph, in the sweep and in the pipeline alike.  ``omega_nodes`` bounds
+    the clique-number search of :func:`find_certified_ratio_violation` only;
+    sweep cells never search for the clique number."""
 
     alpha_nodes: int = DEFAULT_BUDGET
     omega_nodes: int = 300_000
-    tiny_sigma_max_n: int = 12
-    tiny_sigma_nodes: int = 200_000
 
 
 @dataclass(frozen=True)
@@ -89,14 +95,14 @@ def _cell(
     p: float,
     seed: int,
     budgets: SweepBudgets,
-    params: PipelineParams,
     alpha: Optional[Tagged] = None,
     sigma_upper: Optional[SigmaUpperCert] = None,
 ) -> ExperimentRecord:
     """The record of G(n, p, seed).  ``alpha``, when given, is this graph's
     ``alpha_exact`` result within ``budgets.alpha_nodes``; ``sigma_upper``
     is a subdivision upper certificate for this graph, the only source of
-    ``sigma_upper_t``."""
+    ``sigma_upper_t``.  The pipeline runs in practical mode with the same
+    alpha budget, so it takes this alpha as its own."""
     g = gen_gnp(n, p, seed)
     chi_upper, _ = dsatur_upper(g)
     if alpha is None:
@@ -110,13 +116,9 @@ def _cell(
         chi_lower = max(1, greedy_clique_lower(g).value)
         chi_tag = "heuristic"
     sigma_upper_t = None if sigma_upper is None else sigma_upper.t
-    # hand alpha down only where it is the result the pipeline's own
-    # search, with its own budget, would return
-    same_search = budgets.alpha_nodes == params.alpha_budget or (
-        alpha.exact and alpha.nodes <= params.alpha_budget
-    )
+    params = PipelineParams.practical(alpha_budget=budgets.alpha_nodes)
     try:
-        report = sigma_lower_auto(g, params, seed, alpha if same_search else None)
+        report = sigma_lower_auto(g, params, seed, alpha)
         if report.certificate is not None and report.certificate.verified:
             sigma_lower = max(1, report.certificate.order)
         else:
@@ -124,8 +126,8 @@ def _cell(
             sigma_lower = 1 if n >= 1 else 0
     except PreconditionRefusal:
         sigma_lower = 1
-    if n <= budgets.tiny_sigma_max_n:
-        tiny, _ = sigma_exact_value(g, budgets.tiny_sigma_nodes)
+    if n <= TINY_SIGMA_MAX_N:
+        tiny, _ = sigma_exact_value(g, TINY_SIGMA_NODES)
         if tiny.tag != "exceeded":
             sigma_lower = max(sigma_lower, tiny.value)
     if sigma_upper_t is not None and sigma_lower >= sigma_upper_t:
@@ -157,18 +159,16 @@ def run_ratio_sweep(
     p: float,
     seeds_per_n: int,
     budgets: SweepBudgets | None = None,
-    params: PipelineParams | None = None,
     base_seed: int = 0,
 ) -> list[ExperimentRecord]:
     """One record per (n, seed), sorted by (n, seed); deterministic."""
     if not ns:
         raise ValueError("need at least one n")
     budgets = budgets or SweepBudgets()
-    params = params or PipelineParams.practical()
     records = []
     for n in sorted(ns):
         for i in range(seeds_per_n):
-            records.append(_cell(n, p, base_seed + i, budgets, params))
+            records.append(_cell(n, p, base_seed + i, budgets))
     records.sort(key=lambda r: (r.n, r.seed))
     return records
 
@@ -244,10 +244,7 @@ def find_certified_ratio_violation(
                 )
             if chi_lower > cert.t:
                 log.append(f"CERTIFIED chi > sigma at {best_desc}")
-                record = _cell(
-                    n, p, seed, budgets, PipelineParams.practical(), alpha, cert
-                )
-                return record, log
+                return _cell(n, p, seed, budgets, alpha, cert), log
     if best_gap is not None:
         log.append(f"no certified violation within budget; best gap {best_desc}")
     else:

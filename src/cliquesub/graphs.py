@@ -189,24 +189,16 @@ def induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
     """Induced subgraph on ``s``.
 
     Returns ``(h, mapping)`` where ``mapping[i]`` is the vertex of ``g``
-    that vertex ``i`` of ``h`` came from (ascending label order).
+    that vertex ``i`` of ``h`` came from (ascending label order).  Only the
+    selected rows are unpacked, so this costs k rows of width n and never
+    fills ``g``'s n x n matrix cache.
     """
     sel = sorted(set(s))
     for v in sel:
         if not (0 <= v < g.n):
             raise ValueError(f"vertex {v} out of range for n={g.n}")
-    k = len(sel)
-    if k > 256:
-        rows = _pack_rows(g.bool_matrix()[np.ix_(sel, sel)])
-    else:
-        rows = [0] * k
-        for i, u in enumerate(sel):
-            ru = g.rows[u]
-            acc = 0
-            for j, v in enumerate(sel):
-                acc |= ((ru >> v) & 1) << j
-            rows[i] = acc
-    return Graph._trusted(k, rows), tuple(sel)
+    rows = _pack_rows(_unpack_rows(g.n, [g.rows[v] for v in sel])[:, sel])
+    return Graph._trusted(len(sel), rows), tuple(sel)
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, bits, complement, edge_density
+from .graphs import Graph, _pack_rows, _unpack_rows, bits, complement, edge_density
 from .subdivision import SubdivisionCertificate
 
 __all__ = [
@@ -143,18 +143,8 @@ def _compact_frame(frame: _Frame, keep: int) -> tuple[_Frame, dict[int, int]]:
     result packed again, which costs k rows of the old width in numpy.
     """
     pos = list(bits(keep))
-    k = len(pos)
     width = len(frame.rows)
-    nbytes = (width + 7) // 8
-    buf = b"".join(frame.rows[p].to_bytes(nbytes, "little") for p in pos)
-    mat = np.unpackbits(
-        np.frombuffer(buf, np.uint8).reshape(k, nbytes), axis=1, count=width, bitorder="little"
-    )
-    packed = np.packbits(mat[:, pos], axis=1, bitorder="little").tobytes()
-    kbytes = (k + 7) // 8
-    rows = [
-        int.from_bytes(packed[i * kbytes : (i + 1) * kbytes], "little") for i in range(k)
-    ]
+    rows = _pack_rows(_unpack_rows(width, [frame.rows[p] for p in pos])[:, pos])
     labels = frame.labels
     return _Frame(rows, [labels[p] for p in pos]), {p: i for i, p in enumerate(pos)}
 

@@ -66,6 +66,16 @@ PROV_TRIVIAL = "trivial"
 # The paper's density constant c: a dense-case floor and a sparse-case
 # ceiling.  The dense hypothesis n >= 10^14*c^-5 then needs n >= 10^114.
 C_DENSITY = 1e-20
+# Constants of the pure-arithmetic calculators: c1 and c2 of the two regimes
+# of the (n, alpha) bound, and C of the ratio bound C*sqrt(n)/log(n).
+C1 = 1e-114
+C2 = 1e-114
+BIG_C = 1e120
+
+# Recursion depth at which the sparse route stops with a single vertex.
+MAX_DEPTH = 40
+# Sizes the build ladder tries before it falls back to a single vertex.
+BUILDER_RETRIES = 30
 
 REQ_DENSE_N = "n >= 10^14 * c^-5"
 REQ_DENSE_D = "d >= c"
@@ -77,23 +87,16 @@ REQ_SPARSE_PRODUCT = "d*alpha*log(1/d) <= log(n)/100"
 
 @dataclass(frozen=True)
 class PipelineParams:
-    """Pipeline constants plus the mode switch.
+    """The mode switch and the node budget of every alpha search.
 
     Paper mode checks the paper's hypotheses and refuses when one fails;
     practical mode skips them.  Past the checks both modes run the same
-    extraction and build.  ``c1``, ``c2`` and ``big_c`` are the constants
-    of the pure-arithmetic bound calculators.
+    extraction and build.  Every other constant of the routes and of the
+    pure-arithmetic calculators is a module constant.
     """
 
     mode: str = "practical"
-    c1: float = 1e-114
-    c2: float = 1e-114
-    big_c: float = 1e120  # ratio-bound constant
     alpha_budget: int = 2_000_000
-    max_depth: int = 40
-    builder_retries: int = 30
-    path_sample: int = 100
-    pool_utilization: float = 0.5  # practical ladder: 3*missing <= util*pool
 
     @classmethod
     def paper(cls, **kw) -> "PipelineParams":
@@ -176,7 +179,7 @@ def _extract(
     """
     v1, v2 = drc_partition(h, seed)
     transcript.append({"step": "partition", "seed": seed, "v1_size": len(v1)})
-    cert = drc_select(h, v1, v2, mode=params.mode, path_sample=params.path_sample)
+    cert = drc_select(h, v1, v2, mode=params.mode)
     u_labels = tuple(sorted(labels[v] for v in cert.u_set))
     transcript.append(
         {
@@ -195,17 +198,17 @@ def _build(
     g: Graph,
     u_labels: tuple[int, ...],
     pool_mask: int,
-    params: PipelineParams,
     transcript: list[dict],
     flags: list[str],
 ) -> BoundReport:
     """Ladder selection: shrink the candidate set greedily, start at the
-    largest size whose missing-pair load fits the interior pool, then retry
-    downward on builder failure.  A verified length-4 certificate is the
-    claim; when every size fails the claim is a single vertex."""
+    largest size whose missing-pair load fits half the interior pool
+    (3*missing <= pool/2), then retry downward on builder failure.  A
+    verified length-4 certificate is the claim; when every size fails the
+    claim is a single vertex."""
     gU, mapping = induced(g, u_labels)
     order, missing = greedy_shrink_trace(gU, range(gU.n))
-    budget = int(params.pool_utilization * pool_mask.bit_count())
+    budget = pool_mask.bit_count() // 2
     start = 1
     for k in range(gU.n, 0, -1):
         if 3 * missing[k] <= budget:
@@ -215,7 +218,7 @@ def _build(
     attempts = 0
     for s in range(start, 0, -1):
         attempts += 1
-        if attempts > params.builder_retries:
+        if attempts > BUILDER_RETRIES:
             break
         dropped = set(order[: gU.n - s])
         s_labels = tuple(mapping[v] for v in range(gU.n) if v not in dropped)
@@ -289,7 +292,7 @@ def sigma_lower_dense(
         )
     u_set = _extract(g, range(n), seed, params, transcript)
     pool_mask = g.full_mask() & ~vertex_mask(u_set)
-    return _build(g, u_set, pool_mask, params, transcript, flags)
+    return _build(g, u_set, pool_mask, transcript, flags)
 
 
 def _degree_filter(g: Graph) -> list[int]:
@@ -384,7 +387,7 @@ def sigma_lower_sparse(
         transcript.append({"step": "base-case", "name": "alpha > n/16"})
         return _cited_report(g, transcript, flags)
 
-    if depth >= params.max_depth:
+    if depth >= MAX_DEPTH:
         transcript.append({"step": "depth-cap", "depth": depth})
         return _single_vertex_report(g, transcript, flags + ["depth-cap-exceeded"])
 
@@ -473,7 +476,7 @@ def sigma_lower_sparse(
         return _single_vertex_report(g, transcript, flags + ["filter-empty"])
 
     pool_mask = vertex_mask(v_dprime) & ~vertex_mask(v1_labels)
-    return _build(g, u_labels, pool_mask, params, transcript, flags)
+    return _build(g, u_labels, pool_mask, transcript, flags)
 
 
 def sigma_lower_auto(
@@ -518,7 +521,7 @@ class FBound:
     a: Optional[float]  # alpha / log(n)
 
 
-def subdivision_bound_dispatch(n: int, alpha: int, params: PipelineParams) -> FBound:
+def subdivision_bound_dispatch(n: int, alpha: int) -> FBound:
     """Evaluate the two-regime lower-bound formula.
 
     part 1: c1 * n^(alpha/(2*alpha-1)) when alpha < 2*log(n);
@@ -529,12 +532,12 @@ def subdivision_bound_dispatch(n: int, alpha: int, params: PipelineParams) -> FB
         raise ValueError("n must be >= 1")
     if not 1 <= alpha <= n:
         raise ValueError(f"alpha={alpha} out of range 1..{n}")
-    part1 = params.c1 * n ** (alpha / (2 * alpha - 1))
+    part1 = C1 * n ** (alpha / (2 * alpha - 1))
     if n == 1:
         return FBound("part-1", part1, part1, None, None)
     ln_n = math.log(n)
     a = alpha / ln_n
-    part2 = params.c2 * math.sqrt(n / (a * math.log(a))) if a >= 2 else None
+    part2 = C2 * math.sqrt(n / (a * math.log(a))) if a >= 2 else None
     if alpha < 2 * ln_n:
         return FBound("part-1", part1, part1, part2, a)
     assert part2 is not None
@@ -551,15 +554,13 @@ class InductionStepReport:
         return [name for name, _, _, ok in self.checks if not ok]
 
 
-def check_ratio_induction_step(
-    n: float, k: float, params: PipelineParams
-) -> InductionStepReport:
+def check_ratio_induction_step(n: float, k: float) -> InductionStepReport:
     """Numerically replay the induction that turns the (n, alpha) bound into
     the ratio bound C*sqrt(n)/log(n), for a given vertex count and chromatic
     number.  All inequalities are evaluated in log space so astronomically
     large inputs are fine; each check reports its two sides.
     """
-    C, c1, c2 = params.big_c, params.c1, params.c2
+    C, c1, c2 = BIG_C, C1, C2
     e = math.e
     checks: list[tuple[str, float, float, bool]] = []
 

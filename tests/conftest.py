@@ -20,11 +20,10 @@ from cliquesub.drc import (
     DRC_DENSITY_REQUIREMENT,
     DrcCertificate,
     PreconditionRefusal,
-    _measure_path_bound,
     crossing_edges,
 )
 from cliquesub.graph_io import _GRAPH6_HEADER, ParseError, _g6_decode_n, _g6_encode_n
-from cliquesub.graphs import Graph, bits, edge_density, new_graph
+from cliquesub.graphs import Graph, _pack_rows, bits, edge_density, new_graph
 from cliquesub.oracles import (
     TAG_EXACT,
     TAG_HEURISTIC,
@@ -263,7 +262,6 @@ def reference_drc_select(
     v1: Iterable[int],
     v2: Iterable[int],
     mode: str = "paper",
-    path_sample: int = 100,
 ) -> DrcCertificate:
     """Derandomized hub selection with the full V1 x V1 pair matrix: the
     scan that the tiled ``drc_select`` replaced.  ``drc_select`` must return
@@ -328,12 +326,11 @@ def reference_drc_select(
         raise AssertionError("more than |X|/5 bad vertices; b bound violated")
     u_set = tuple(survivors[:u_size])
 
-    paper_bound_frac = Fraction(d**5 * n, 10**9)
-    paper_bound = -(-paper_bound_frac.numerator // paper_bound_frac.denominator)
+    # the paper's path guarantee, recorded in paper mode only
+    path_bound = None
     if mode == "paper":
-        path_bound = paper_bound
-    else:
-        path_bound = _measure_path_bound(g, u_set, max(1, paper_bound), path_sample)
+        paper_bound_frac = Fraction(d**5 * n, 10**9)
+        path_bound = -(-paper_bound_frac.numerator // paper_bound_frac.denominator)
     return DrcCertificate(
         v1=v1,
         v2=v2,
@@ -345,6 +342,28 @@ def reference_drc_select(
         path_bound=path_bound,
         mode=mode,
     )
+
+
+def reference_induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
+    """Induced subgraph by the two paths that ``induced`` replaced: a slice of
+    the cached n x n matrix above 256 vertices, a Python bit loop below.
+    ``induced`` must return the same graph and mapping."""
+    sel = sorted(set(s))
+    for v in sel:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    k = len(sel)
+    if k > 256:
+        rows = _pack_rows(g.bool_matrix()[np.ix_(sel, sel)])
+    else:
+        rows = [0] * k
+        for i, u in enumerate(sel):
+            ru = g.rows[u]
+            acc = 0
+            for j, v in enumerate(sel):
+                acc |= ((ru >> v) & 1) << j
+            rows[i] = acc
+    return Graph._trusted(k, rows), tuple(sel)
 
 
 def reference_to_graph6(g: Graph) -> str:

@@ -312,7 +312,7 @@ def test_criterion_8_mode_fidelity():
         # constant identities behind the ratio-bound constant
         from cliquesub.pipeline import check_ratio_induction_step
 
-        rep = check_ratio_induction_step(1e150, 1e130, PipelineParams.paper())
+        rep = check_ratio_induction_step(1e150, 1e130)
         by_name = {name: ok for name, _, _, ok in rep.checks}
         assert by_name["C >= e^8"]
         assert by_name["C >= 16/(c1*e)"]

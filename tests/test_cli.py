@@ -2,9 +2,10 @@ import json
 
 import pytest
 
-from cliquesub import cli, pipeline
+from cliquesub import cli, experiments, pipeline
 from cliquesub.cli import cli_main
 from cliquesub.graph_io import read_graph, write_graph
+from cliquesub.oracles import alpha_exact
 from cliquesub.subdivision import SubdivisionCertificate
 from conftest import cycle
 
@@ -129,6 +130,22 @@ class TestSweep:
 
     def test_bad_n_list(self, capsys):
         assert run("sweep", "--n", "abc") == 2
+
+    def test_budget_bounds_the_one_alpha_search(self, capsys, monkeypatch):
+        # --budget-nodes is the budget of the cell's search and of the
+        # pipeline's, so a cell searches once, within it
+        calls = []
+
+        def counted(g, budget):
+            calls.append((g.n, budget))
+            return alpha_exact(g, budget)
+
+        monkeypatch.setattr(experiments, "alpha_exact", counted)
+        monkeypatch.setattr(pipeline, "alpha_exact", counted)
+        assert run("sweep", "--n", "400", "--budget-nodes", "50") == 0
+        assert calls == [(400, 50)]
+        (line,) = capsys.readouterr().out.splitlines()[1:]
+        assert ",heuristic," in line
 
 
 class TestBounds:

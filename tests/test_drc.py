@@ -5,6 +5,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
+from cliquesub import drc
 from cliquesub.drc import (
     _SCAN_BLOCK,
     DrcCertificate,
@@ -135,26 +136,27 @@ class TestSelect:
         with pytest.raises(ValueError, match="partition"):
             drc_select(g, (0, 1, 2), (3, 4, 5), mode="practical")
 
-    def test_practical_path_bound_is_measured(self):
+    def test_practical_mode_probes_no_paths(self, monkeypatch):
+        calls = []
+        original = drc.count_disjoint_paths4
+
+        def counted(g, *args, **kw):
+            calls.append(g.n)
+            return original(g, *args, **kw)
+
+        monkeypatch.setattr(drc, "count_disjoint_paths4", counted)
         g = gen_gnp(220, 0.85, 3)
         v1, v2 = drc_partition(g, seed=0)
         cert = drc_select(g, v1, v2, mode="practical")
-        # every sampled pair must actually achieve the recorded bound
-        forb = set(cert.u_set)
-        for u in cert.u_set[:4]:
-            for v in cert.u_set[4:8]:
-                got = count_disjoint_paths4(
-                    g, u, v, forb - {u, v}, limit=cert.path_bound
-                )
-                assert got >= cert.path_bound
-
-    def test_practical_path_bound_is_one_on_a_sweep_graph(self):
-        # the cap max(1, ceil(1e-9*d^5*n)) is 1 at n = 1000, so the field
-        # only says that every sampled pair of U has a length-4 path
+        assert len(cert.u_set) >= 2 and cert.path_bound is None
+        assert cert.to_json_dict()["path_bound"] is None
+        # the pipeline's hub step on a sweep graph, where the old probe
+        # sampled 100 pairs of U
         g = gen_gnp(1000, OPTIMAL_P, 56)
         report = sigma_lower_auto(g, PipelineParams.practical(), 56)
         (hub,) = [step for step in report.transcript if step["step"] == "hub"]
-        assert hub["u_size"] >= 2 and hub["path_bound"] == 1
+        assert hub["u_size"] >= 2 and hub["path_bound"] is None
+        assert calls == []
 
 
 class TestTiledScan:
@@ -193,6 +195,26 @@ class TestTiledScan:
         got = drc_select(g, v1, v2, mode="practical")
         assert (got.good_threshold, got.hub, got.bad_pair_count) == (1, h, len(v1) - 1)
         assert w in got.x_set and w not in got.u_set
+        assert got == reference_drc_select(g, v1, v2, mode="practical")
+
+    def test_float32_scan_equals_full_matrix_scan_from_2897(self):
+        # |V1| = 2897 is the least size with |V1|^2 >= 2^23, past which
+        # whole-matrix float32 sums could lose exactness; here a hub h sees
+        # all of V1 and w's only far-side neighbour is h, so X(h) = V1 holds
+        # |V1| - 1 bad pairs
+        g0 = gen_gnp(5794, 0.7, 12)
+        v1, v2 = drc_partition(g0, 12)
+        assert len(v1) == 2897
+        h, w = v2[0], v1[10]
+        mat = g0.bool_matrix().copy()
+        del g0
+        mat[h, list(v1)] = mat[list(v1), h] = True
+        mat[w, list(v2)] = mat[list(v2), w] = False
+        mat[w, h] = mat[h, w] = True
+        g = Graph(len(mat), _pack_rows(mat))
+        del mat
+        got = drc_select(g, v1, v2, mode="practical")
+        assert (got.hub, got.bad_pair_count) == (h, len(v1) - 1)
         assert got == reference_drc_select(g, v1, v2, mode="practical")
 
     def test_paper_mode_equals_full_matrix_scan(self):

@@ -15,7 +15,6 @@ from cliquesub.experiments import (
 )
 from cliquesub.graphs import gen_gnp
 from cliquesub.oracles import SigmaUpperCert, alpha_exact, omega_exact, sigma_upper_cert
-from cliquesub.pipeline import PipelineParams
 
 
 class TestRecords:
@@ -132,33 +131,24 @@ class TestAlphaReuse:
         got = (r.chi_upper, r.chi_lower, r.chi_lower_tag, r.sigma_lower, r.sigma_upper_t)
         assert got == self.PINNED[seed]
 
-    def test_handed_down_only_when_the_pipeline_would_find_it(self, monkeypatch):
+    @pytest.mark.parametrize("alpha_nodes", [5, 100_000])
+    def test_one_search_with_any_budget(self, monkeypatch, alpha_nodes):
+        # the pipeline's alpha budget is the sweep's, so the cell's alpha is
+        # the pipeline's own whether or not the search ran out
         calls = self.count_alpha_searches(monkeypatch)
-        # exact within a smaller sweep budget: the pipeline's search with
-        # its own budget returns the same result
-        budgets = SweepBudgets(alpha_nodes=100_000, omega_nodes=2_000)
+        budgets = SweepBudgets(alpha_nodes=alpha_nodes, omega_nodes=2_000)
         (r,) = run_ratio_sweep([200], OPTIMAL_P, 1, budgets)
         assert calls == [200]
-        assert r.chi_lower_tag == "exact" and r.sigma_lower == self.PINNED[0][3]
-        # cut short by the sweep's budget: the pipeline searches again
-        calls.clear()
-        budgets = SweepBudgets(alpha_nodes=5, omega_nodes=2_000)
-        (r,) = run_ratio_sweep([200], OPTIMAL_P, 1, budgets)
-        assert calls == [200, 200]
-        assert r.chi_lower_tag == "heuristic"
-        # exact, but past the pipeline's smaller budget: searched again
-        calls.clear()
-        params = PipelineParams.practical(alpha_budget=5)
-        run_ratio_sweep([200], OPTIMAL_P, 1, self.BUDGETS, params)
-        assert calls == [200, 200]
+        if alpha_nodes == 5:
+            assert r.chi_lower_tag == "heuristic"
+        else:
+            assert r.chi_lower_tag == "exact" and r.sigma_lower == self.PINNED[0][3]
 
 
 class TestUpperCertificateHandedIn:
     """A cell never searches for omega; its sigma upper bound, and with it
     ``ratio_lower``, comes only from a certificate passed in by the gap
     search."""
-
-    PRACTICAL = PipelineParams.practical()
 
     @staticmethod
     def count(monkeypatch, module, name) -> list[int]:
@@ -174,7 +164,7 @@ class TestUpperCertificateHandedIn:
 
     def test_cell_searches_no_omega(self, monkeypatch):
         calls = self.count(monkeypatch, experiments, "omega_exact")
-        r = experiments._cell(200, OPTIMAL_P, 0, SweepBudgets(), self.PRACTICAL)
+        r = experiments._cell(200, OPTIMAL_P, 0, SweepBudgets())
         assert calls == []
         assert (r.sigma_upper_t, r.ratio_lower) == (None, None)
 
@@ -182,9 +172,9 @@ class TestUpperCertificateHandedIn:
         g = gen_gnp(40, OPTIMAL_P, 0)
         cert = sigma_upper_cert(g, omega_exact(g))
         assert cert is not None
-        plain = experiments._cell(40, OPTIMAL_P, 0, SweepBudgets(), self.PRACTICAL)
+        plain = experiments._cell(40, OPTIMAL_P, 0, SweepBudgets())
         r = experiments._cell(
-            40, OPTIMAL_P, 0, SweepBudgets(), self.PRACTICAL, sigma_upper=cert
+            40, OPTIMAL_P, 0, SweepBudgets(), sigma_upper=cert
         )
         assert r.chi_lower_tag == "exact"
         assert r.sigma_upper_t == cert.t
@@ -194,12 +184,12 @@ class TestUpperCertificateHandedIn:
         )
 
     def test_lower_bound_meeting_the_certificate_raises(self):
-        r = experiments._cell(80, OPTIMAL_P, 0, SweepBudgets(), self.PRACTICAL)
+        r = experiments._cell(80, OPTIMAL_P, 0, SweepBudgets())
         assert r.sigma_lower > 1
         fake = SigmaUpperCert(r.sigma_lower, 2, 0, r.sigma_lower, 80)
         with pytest.raises(AssertionError, match="met the counting upper"):
             experiments._cell(
-                80, OPTIMAL_P, 0, SweepBudgets(), self.PRACTICAL, sigma_upper=fake
+                80, OPTIMAL_P, 0, SweepBudgets(), sigma_upper=fake
             )
 
     def test_gap_search_searches_alpha_once_per_graph(self, monkeypatch):

@@ -12,7 +12,7 @@ from cliquesub.graphs import (
     induced,
     new_graph,
 )
-from conftest import complete, cycle, empty, random_graph
+from conftest import complete, cycle, empty, random_graph, reference_induced
 
 
 class TestNewGraph:
@@ -128,16 +128,33 @@ class TestInduced:
             right, _ = induced(g, b)
             assert left == right
 
-    def test_large_selection_uses_matrix_path(self):
+    def test_large_selection_leaves_the_matrix_uncached(self):
         g = gen_gnp(400, 0.3, 5)
         sel = list(range(0, 400, 1))[:300]
         h, mapping = induced(g, sel)
         assert h.n == 300
+        assert g._mat is None
         probe = random.Random(1)
         for _ in range(200):
             i, j = probe.randrange(300), probe.randrange(300)
             if i != j:
                 assert h.has_edge(i, j) == g.has_edge(mapping[i], mapping[j])
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 255, 256, 257, 300, 400])
+    def test_equals_reference_across_the_old_cutover(self, k):
+        # the reference switches from a bit loop to a matrix slice above 256
+        g = gen_gnp(400, 0.5, k)
+        sel = random.Random(k).sample(range(400), k)
+        got = induced(g, sel)
+        assert g._mat is None
+        assert got == reference_induced(g, sel)
+
+    def test_equals_reference_on_random_graphs(self, rng):
+        for _ in range(300):
+            n = rng.randint(0, 40)
+            g = random_graph(rng, n)
+            sel = rng.sample(range(n), rng.randint(0, n))
+            assert induced(g, sel) == reference_induced(g, sel)
 
 
 class TestGnp:

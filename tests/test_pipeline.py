@@ -10,6 +10,7 @@ from cliquesub.experiments import OPTIMAL_P
 from cliquesub.graphs import complement, edge_density, gen_gnp, new_graph
 from cliquesub.oracles import alpha_exact, sigma_exact_value
 from cliquesub.pipeline import (
+    MAX_DEPTH,
     REQ_DENSE_ALPHA,
     REQ_DENSE_D,
     REQ_DENSE_N,
@@ -278,8 +279,8 @@ class TestSparseBranches:
 
     def test_recursion_terminates_with_depth_cap(self):
         g = gen_gnp(900, 0.4, 4)
-        params = PipelineParams.practical(max_depth=0, alpha_budget=120_000)
-        rep = sigma_lower_sparse(g, params, seed=0)
+        params = PipelineParams.practical(alpha_budget=120_000)
+        rep = sigma_lower_sparse(g, params, depth=MAX_DEPTH, seed=0)
         assert "depth-cap-exceeded" in rep.flags
         assert rep.claimed_sigma_lower == 1
         assert rep.provenance == "certified-constructive"
@@ -430,62 +431,62 @@ class TestPaperModeRefuses:
 
 class TestDispatch:
     def test_alpha_one_is_linear(self):
-        fb = subdivision_bound_dispatch(1000, 1, PipelineParams.paper())
+        fb = subdivision_bound_dispatch(1000, 1)
         assert fb.regime == "part-1"
         assert fb.value == pytest.approx(1e-114 * 1000)
 
     def test_spec_regression_value(self):
-        fb = subdivision_bound_dispatch(10**6, 10, PipelineParams.paper())
+        fb = subdivision_bound_dispatch(10**6, 10)
         assert fb.regime == "part-1"
         assert fb.value == pytest.approx(1e-114 * (10**6) ** (10 / 19))
 
     def test_boundary_reports_both(self):
         n = 1000
         alpha = math.ceil(2 * math.log(n))
-        fb = subdivision_bound_dispatch(n, alpha, PipelineParams.paper())
+        fb = subdivision_bound_dispatch(n, alpha)
         assert fb.part1 > 0 and fb.part2 is not None and fb.part2 > 0
         assert fb.regime == "part-2"
 
     def test_large_alpha_part2(self):
-        fb = subdivision_bound_dispatch(10**6, 100, PipelineParams.paper())
+        fb = subdivision_bound_dispatch(10**6, 100)
         a = 100 / math.log(10**6)
         assert fb.regime == "part-2"
         assert fb.value == pytest.approx(1e-114 * math.sqrt(10**6 / (a * math.log(a))))
 
     def test_domain_checks(self):
         with pytest.raises(ValueError):
-            subdivision_bound_dispatch(10, 11, PipelineParams.paper())
+            subdivision_bound_dispatch(10, 11)
         with pytest.raises(ValueError):
-            subdivision_bound_dispatch(0, 1, PipelineParams.paper())
+            subdivision_bound_dispatch(0, 1)
 
 
 class TestInductionStep:
     def test_constant_identities_for_paper_constants(self):
-        rep = check_ratio_induction_step(1e150, 1e130, PipelineParams.paper())
+        rep = check_ratio_induction_step(1e150, 1e130)
         names = {name: ok for name, _, _, ok in rep.checks}
         assert names["C >= e^8"]
         assert names["C >= 16/(c1*e)"]
         assert names["C >= 4/(c2*sqrt(e))"]
 
     def test_trivial_branch(self):
-        rep = check_ratio_induction_step(1000, 50, PipelineParams.paper())
+        rep = check_ratio_induction_step(1000, 50)
         assert rep.branch == "trivial"
         assert rep.passed
 
     def test_main_branch_chain_holds(self):
-        rep = check_ratio_induction_step(1e150, 1e130, PipelineParams.paper())
+        rep = check_ratio_induction_step(1e150, 1e130)
         assert rep.branch == "main"
         assert rep.passed, rep.failed()
 
     def test_log_space_magnitude(self):
         # n = e^100 with k = n/2: every chain inequality holds numerically
         n = math.exp(100)
-        rep = check_ratio_induction_step(n, n / 2, PipelineParams.paper())
+        rep = check_ratio_induction_step(n, n / 2)
         deletion = [c for c in rep.checks if "k" in c[0] or "n'" in c[0]]
         assert deletion and all(ok for _, _, _, ok in deletion)
 
     def test_grid_minimum_location(self):
-        rep = check_ratio_induction_step(1e150, 1e130, PipelineParams.paper())
+        rep = check_ratio_induction_step(1e150, 1e130)
         by_name = {name: (lhs, rhs, ok) for name, lhs, rhs, ok in rep.checks}
         lhs, rhs, ok = by_name["min attained at a=1/4"]
         assert ok and lhs == pytest.approx(math.e / 4, abs=1e-6)
