@@ -136,7 +136,8 @@ class TestSelect:
         with pytest.raises(ValueError, match="partition"):
             drc_select(g, (0, 1, 2), (3, 4, 5), mode="practical")
 
-    def test_practical_mode_probes_no_paths(self, monkeypatch):
+    @staticmethod
+    def _count_path_calls(monkeypatch):
         calls = []
         original = drc.count_disjoint_paths4
 
@@ -145,13 +146,21 @@ class TestSelect:
             return original(g, *args, **kw)
 
         monkeypatch.setattr(drc, "count_disjoint_paths4", counted)
+        return calls
+
+    def test_practical_mode_probes_no_paths(self, monkeypatch):
+        calls = self._count_path_calls(monkeypatch)
         g = gen_gnp(220, 0.85, 3)
         v1, v2 = drc_partition(g, seed=0)
         cert = drc_select(g, v1, v2, mode="practical")
         assert len(cert.u_set) >= 2 and cert.path_bound is None
         assert cert.to_json_dict()["path_bound"] is None
+        assert calls == []
+
+    def test_practical_hub_probes_no_paths_on_a_sweep_graph(self, monkeypatch):
         # the pipeline's hub step on a sweep graph, where the old probe
         # sampled 100 pairs of U
+        calls = self._count_path_calls(monkeypatch)
         g = gen_gnp(1000, OPTIMAL_P, 56)
         report = sigma_lower_auto(g, PipelineParams.practical(), 56)
         (hub,) = [step for step in report.transcript if step["step"] == "hub"]
