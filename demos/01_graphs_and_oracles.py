@@ -24,7 +24,7 @@ print("  graphs and oracles")
 print("=" * 64)
 
 c5 = new_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])
-print(f"\n5-cycle: {c5}, density {edge_density(c5).fraction}")
+print(f"\n5-cycle: {c5}, density {edge_density(c5)}")
 print(f"  alpha = {alpha_exact(c5).value}  (witness {alpha_exact(c5).witness})")
 print(f"  omega = {omega_exact(c5).value}")
 print(f"  chi   = {chi_exact(c5).value}  (dsatur gives {dsatur_upper(c5)[0]})")

@@ -26,7 +26,7 @@ print("=" * 64)
 
 t0 = time.time()
 g = gen_gnp(N, P, SEED)
-d = edge_density(g).fraction
+d = edge_density(g)
 print(f"\ngenerated in {time.time() - t0:.1f}s: m={g.m}, d={float(d):.4f}")
 
 v1, v2 = drc_partition(g, SEED)

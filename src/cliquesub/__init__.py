@@ -28,7 +28,6 @@ from .experiments import (
 )
 from .graph_io import ParseError, read_graph, write_graph
 from .graphs import (
-    Density,
     Graph,
     complement,
     edge_density,

@@ -14,11 +14,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Optional
 
 import numpy as np
 
 from .graphs import Graph, _unpack_rows, bits, edge_density, vertex_mask
+from .subdivision import _path_interiors
 
 __all__ = [
     "DrcCertificate",
@@ -175,7 +176,7 @@ def drc_select(
     if mode not in ("paper", "practical"):
         raise ValueError(f"unknown mode {mode!r}")
     n = g.n
-    d = edge_density(g).fraction
+    d = edge_density(g)
     if mode == "paper" and d * d * n < 1600:
         raise PreconditionRefusal(
             DRC_DENSITY_REQUIREMENT, f"d^2*n = {float(d * d * n):.6g}"
@@ -309,25 +310,10 @@ def count_disjoint_paths4(
     return best
 
 
-def _path_interiors(
-    rows: tuple[int, ...], u: int, v: int, avail: int, sa: int, sb: int, sc: int
-) -> Iterator[tuple[int, int, int]]:
-    """Interiors (a, b, c) of u-a-b-c-v paths inside ``avail``, in
-    lexicographic order from (sa, sb, sc) on."""
-    for a in bits((rows[u] & avail) >> sa << sa):
-        b_floor = sb if a == sa else 0
-        brow = rows[a] & avail & ~(1 << a)
-        for b in bits(brow >> b_floor << b_floor):
-            c_floor = sc if (a == sa and b == sb) else 0
-            crow = rows[b] & rows[v] & avail & ~(1 << a) & ~(1 << b)
-            for c in bits(crow >> c_floor << c_floor):
-                yield a, b, c
-
-
 def verify_drc_certificate(g: Graph, cert: DrcCertificate) -> list[tuple[str, bool]]:
     """Recompute every certificate invariant exactly; returns (name, ok) pairs."""
     n = g.n
-    d = edge_density(g).fraction
+    d = edge_density(g)
     checks: list[tuple[str, bool]] = []
     v1, v2 = cert.v1, cert.v2
     checks.append(

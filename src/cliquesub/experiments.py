@@ -164,6 +164,8 @@ def run_ratio_sweep(
     """One record per (n, seed), sorted by (n, seed); deterministic."""
     if not ns:
         raise ValueError("need at least one n")
+    if min(ns) < 1:
+        raise ValueError(f"every n must be >= 1, got {min(ns)}")
     budgets = budgets or SweepBudgets()
     records = []
     for n in sorted(ns):

@@ -99,22 +99,16 @@ def _g6_decode_n(data: bytes) -> tuple[int, int]:
         if n < 0:
             raise ParseError(f"bad graph6 size byte {data[0]}", byte=0)
         return n, 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise ParseError("truncated graph6 size", byte=len(data))
-        vals = [b - 63 for b in data[2:8]]
-        if any(v < 0 or v > 63 for v in vals):
-            raise ParseError("bad graph6 size byte", byte=2)
-        n = 0
-        for v in vals:
-            n = (n << 6) | v
-        return n, 8
-    if len(data) < 4:
+    # 126 then three size bytes, or 126 126 then six
+    start, end = (2, 8) if len(data) >= 2 and data[1] == 126 else (1, 4)
+    if len(data) < end:
         raise ParseError("truncated graph6 size", byte=len(data))
-    vals = [b - 63 for b in data[1:4]]
-    if any(v < 0 or v > 63 for v in vals):
-        raise ParseError("bad graph6 size byte", byte=1)
-    return (vals[0] << 12) | (vals[1] << 6) | vals[2], 4
+    n = 0
+    for b in data[start:end]:
+        if not 63 <= b <= 126:
+            raise ParseError("bad graph6 size byte", byte=start)
+        n = (n << 6) | (b - 63)
+    return n, end
 
 
 def to_graph6(g: Graph) -> str:

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
@@ -10,7 +9,6 @@ import numpy as np
 
 __all__ = [
     "Graph",
-    "Density",
     "new_graph",
     "edge_density",
     "complement",
@@ -88,9 +86,6 @@ class Graph:
     def neighbors(self, v: int) -> Iterator[int]:
         return bits(self.rows[v])
 
-    def vertices(self) -> range:
-        return range(self.n)
-
     def edges(self) -> Iterator[tuple[int, int]]:
         for u in range(self.n):
             row = self.rows[u] >> (u + 1)
@@ -138,20 +133,6 @@ def _unpack_rows(n: int, rows: Sequence[int]) -> np.ndarray:
     return np.unpackbits(arr, axis=1, bitorder="little", count=n)
 
 
-@dataclass(frozen=True)
-class Density:
-    """Edge density |E| / C(n,2), carried exactly as a rational."""
-
-    fraction: Fraction
-
-    @property
-    def value(self) -> float:
-        return float(self.fraction)
-
-    def __float__(self) -> float:
-        return float(self.fraction)
-
-
 def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; edges are deduplicated and symmetrized."""
     if n < 0:
@@ -167,10 +148,11 @@ def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph._trusted(n, rows)
 
 
-def edge_density(g: Graph) -> Density:
+def edge_density(g: Graph) -> Fraction:
+    """Edge density |E| / C(n,2), exactly."""
     if g.n <= 1:
-        return Density(Fraction(0))
-    return Density(Fraction(g.m, g.n * (g.n - 1) // 2))
+        return Fraction(0)
+    return Fraction(g.m, g.n * (g.n - 1) // 2)
 
 
 def complement(g: Graph) -> Graph:

@@ -638,7 +638,7 @@ def graph_stats(
     with_chi: bool | None = None,
 ) -> GraphStats:
     """Oracle bounds for a graph; chi search only at small n unless forced."""
-    stats = GraphStats(n=g.n, m=g.m, density=edge_density(g).fraction)
+    stats = GraphStats(n=g.n, m=g.m, density=edge_density(g))
     stats.alpha = alpha_exact(g, budget)
     stats.omega = omega_exact(g, budget)
     k, _ = dsatur_upper(g)

@@ -9,13 +9,13 @@ step (dependent random choice: a partition, then a hub) and one build step
 (a ladder of greedy length-4 builds, each verified), and every fallback is
 the same verified single-vertex certificate.
 
-Paper mode is the paper's hypothesis checks: it refuses whenever a cited
-hypothesis fails, and with the paper's density constant ``C_DENSITY`` that
-is every nonempty graph that fits in memory.  At desk scale its value is
-the refusal logic and the constant bookkeeping, both of which are tested.
-Practical mode skips those checks (the dense route keeps its extraction
-gate d^2*n >= 1600) and emits machine-checked certificates for whatever
-order it actually achieves.
+Paper mode is one gate, ``_paper_refusal``, that each public route calls
+at entry: it raises the first of the paper's hypotheses that the graph
+fails.  With the paper's density constant ``C_DENSITY`` that refuses every
+nonempty graph that fits in memory, so past the gate the routes know only
+practical mode, which emits machine-checked certificates for whatever
+order it actually achieves (the dense route keeps its extraction gate
+d^2*n >= 1600).
 """
 
 from __future__ import annotations
@@ -52,11 +52,8 @@ __all__ = [
     "check_ratio_induction_step",
     "InductionStepReport",
     "REQ_DENSE_N",
-    "REQ_DENSE_D",
-    "REQ_DENSE_ALPHA",
     "REQ_SPARSE_ALPHA",
     "REQ_SPARSE_D",
-    "REQ_SPARSE_PRODUCT",
 ]
 
 PROV_CONSTRUCTIVE = "certified-constructive"
@@ -78,21 +75,18 @@ MAX_DEPTH = 40
 BUILDER_RETRIES = 30
 
 REQ_DENSE_N = "n >= 10^14 * c^-5"
-REQ_DENSE_D = "d >= c"
-REQ_DENSE_ALPHA = "alpha <= 2*log(n)"
 REQ_SPARSE_ALPHA = "alpha <= n/2"
 REQ_SPARSE_D = "d <= c"
-REQ_SPARSE_PRODUCT = "d*alpha*log(1/d) <= log(n)/100"
 
 
 @dataclass(frozen=True)
 class PipelineParams:
     """The mode switch and the node budget of every alpha search.
 
-    Paper mode checks the paper's hypotheses and refuses when one fails;
-    practical mode skips them.  Past the checks both modes run the same
-    extraction and build.  Every other constant of the routes and of the
-    pure-arithmetic calculators is a module constant.
+    Paper mode is one hypothesis gate at the entry of each route, and its
+    refusal covers every nonempty graph that fits in memory; practical mode
+    runs the extraction and build.  Every other constant of the routes and
+    of the pure-arithmetic calculators is a module constant.
     """
 
     mode: str = "practical"
@@ -169,7 +163,6 @@ def _extract(
     h: Graph,
     labels: range | tuple[int, ...],
     seed: int,
-    params: PipelineParams,
     transcript: list[dict],
 ) -> tuple[int, ...]:
     """Dependent random choice on ``h``: a partition, then a hub.
@@ -179,7 +172,7 @@ def _extract(
     """
     v1, v2 = drc_partition(h, seed)
     transcript.append({"step": "partition", "seed": seed, "v1_size": len(v1)})
-    cert = drc_select(h, v1, v2, mode=params.mode)
+    cert = drc_select(h, v1, v2, mode="practical")
     u_labels = tuple(sorted(labels[v] for v in cert.u_set))
     transcript.append(
         {
@@ -252,21 +245,17 @@ def sigma_lower_dense(
 ) -> BoundReport:
     """Dense-case constructive bound: extract, then build.
 
-    Paper mode refuses unless n >= 10^14*c^-5, d >= c and alpha <= 2*log(n)
-    with c = ``C_DENSITY``.  Past that, a complete graph is its own
-    subdivision; otherwise the extraction gate d^2*n >= 1600 must hold, and
-    the report carries the best certificate the greedy builder achieves.
+    Paper mode refuses every nonempty graph (see ``_paper_refusal``).  A
+    complete graph is its own subdivision; otherwise the extraction gate
+    d^2*n >= 1600 must hold, and the report carries the best certificate
+    the greedy builder achieves.
 
-    ``alpha`` of None is searched for here with ``params.alpha_budget``,
-    after the paper-mode refusals on n and d, which need none.
+    ``alpha`` of None is searched for here with ``params.alpha_budget``.
     """
+    if params.mode == "paper" and g.n > 0:
+        raise _paper_refusal(g, "dense", alpha, params.alpha_budget)
     n = g.n
-    d = edge_density(g).fraction
-    if params.mode == "paper" and n > 0:
-        if n < 1e14 * C_DENSITY**-5:
-            raise PreconditionRefusal(REQ_DENSE_N, f"n = {n}")
-        if float(d) < C_DENSITY:
-            raise PreconditionRefusal(REQ_DENSE_D, f"d = {float(d):.6g}")
+    d = edge_density(g)
     if alpha is None:
         alpha = alpha_exact(g, params.alpha_budget)
     a_val, a_exact = _alpha_value(alpha)
@@ -277,8 +266,6 @@ def sigma_lower_dense(
     ]
     if n == 0:
         return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
-    if params.mode == "paper" and a_val > 2 * math.log(n):
-        raise PreconditionRefusal(REQ_DENSE_ALPHA, f"alpha = {a_val}")
     if a_val <= 1:
         # independence number 1 means the graph is complete
         cert = build_subdivision(g, range(n), ())
@@ -290,7 +277,7 @@ def sigma_lower_dense(
         raise PreconditionRefusal(
             DRC_DENSITY_REQUIREMENT, f"d^2*n = {float(d * d * n):.6g}"
         )
-    u_set = _extract(g, range(n), seed, params, transcript)
+    u_set = _extract(g, range(n), seed, transcript)
     pool_mask = g.full_mask() & ~vertex_mask(u_set)
     return _build(g, u_set, pool_mask, transcript, flags)
 
@@ -318,6 +305,34 @@ def _clique_cover_size(g: Graph) -> int:
     return parts
 
 
+def _paper_refusal(
+    g: Graph, route: str, alpha: Tagged | int | None, budget: int
+) -> PreconditionRefusal:
+    """The first paper hypothesis that nonempty ``g`` fails on ``route``
+    ("dense", "sparse", or "auto": dense when ``g`` is complete).
+
+    With c = ``C_DENSITY`` the dense case needs n >= 10^14*c^-5, d >= c and
+    alpha <= 2*log(n); the sparse case alpha <= n/2, d <= c and
+    d*alpha*log(1/d) <= log(n)/100.  Only the first of each is evaluated:
+    n >= 10^114 fails on every graph in memory, and alpha <= n/2 needs an
+    edge, which with n < 10^10 makes d > c.  A None ``alpha`` is searched
+    for, within ``budget``, only when a greedy clique partition cannot show
+    alpha <= n/2.
+    """
+    n = g.n
+    if route == "auto":
+        route = "dense" if 2 * g.m == n * (n - 1) else "sparse"
+    if route == "dense":
+        return PreconditionRefusal(REQ_DENSE_N, f"n = {n}")
+    if alpha is None and 2 * _clique_cover_size(g) > n:
+        alpha = alpha_exact(g, budget)
+    if alpha is not None:
+        a_val, _ = _alpha_value(alpha)
+        if 2 * a_val > n:
+            return PreconditionRefusal(REQ_SPARSE_ALPHA, f"alpha = {a_val}, n = {n}")
+    return PreconditionRefusal(REQ_SPARSE_D, f"d = {float(edge_density(g)):.6g}")
+
+
 def sigma_lower_sparse(
     g: Graph,
     params: PipelineParams,
@@ -330,18 +345,18 @@ def sigma_lower_sparse(
     else extract, independence-filter and build.
 
     Mirrors the proof's case analysis; every branch decision lands in the
-    transcript.  Paper mode refuses unless alpha <= n/2, d <= c and
-    d*alpha*log(1/d) <= log(n)/100, with c = ``C_DENSITY``.
+    transcript.  Paper mode refuses every nonempty graph (see
+    ``_paper_refusal``).
 
     ``alpha``, when given, must equal ``alpha_exact(g, params.alpha_budget)``
-    (value, witness, tag and nodes); it is searched for here otherwise,
-    except in paper mode when a greedy clique partition already shows
-    alpha <= n/2 and d > c refuses.
+    (value, witness, tag and nodes); it is searched for here otherwise.
     When the degree filter keeps every vertex, the filtered graph is g and
     this result also serves as its independent set.
     """
+    if params.mode == "paper" and g.n > 0:
+        raise _paper_refusal(g, "sparse", alpha, params.alpha_budget)
     n, m = g.n, g.m
-    d = edge_density(g).fraction
+    d = edge_density(g)
     transcript: list[dict] = [
         {"step": "sparse-entry", "depth": depth, "n": n, "m": m, "seed": seed,
          "mode": params.mode}
@@ -351,32 +366,12 @@ def sigma_lower_sparse(
         return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
 
     if alpha is None:
-        if (
-            params.mode == "paper"
-            and d > Fraction(C_DENSITY)
-            and 2 * _clique_cover_size(g) <= n
-        ):
-            # alpha <= n/2 whatever the search would find, so the paper's
-            # checks refuse on d without it
-            raise PreconditionRefusal(REQ_SPARSE_D, f"d = {float(d):.6g}")
         alpha = alpha_exact(g, params.alpha_budget)
     a_val = alpha.value
     if not alpha.exact:
         flags.append("heuristic-alpha")
     transcript[0]["alpha"] = a_val
     transcript[0]["alpha_tag"] = alpha.tag
-
-    if params.mode == "paper":
-        if 2 * a_val > n:
-            raise PreconditionRefusal(REQ_SPARSE_ALPHA, f"alpha = {a_val}, n = {n}")
-        if d > Fraction(C_DENSITY):
-            raise PreconditionRefusal(REQ_SPARSE_D, f"d = {float(d):.6g}")
-        product = float(d) * a_val * math.log(1 / float(d)) if d > 0 else 0.0
-        if product > math.log(n) / 100:
-            raise PreconditionRefusal(
-                REQ_SPARSE_PRODUCT,
-                f"lhs = {product:.6g}, rhs = {math.log(n) / 100:.6g}",
-            )
 
     # base case: density below n^(-1/4), exactly 16*m^4 < n^3*(n-1)^4
     if 16 * m**4 < n**3 * (n - 1) ** 4:
@@ -420,7 +415,7 @@ def sigma_lower_sparse(
         return _single_vertex_report(g, transcript, flags + ["filtered-set-too-small"])
 
     g_sub, map_sub = induced(g, v_dprime)
-    d_sub = edge_density(g_sub).fraction
+    d_sub = edge_density(g_sub)
     transcript.append(
         {"step": "density-drop", "d": float(d), "d_sub": float(d_sub),
          "q": float(d_sub / d) if d else None}
@@ -446,7 +441,7 @@ def sigma_lower_sparse(
         )
 
     transcript.append({"step": "case", "name": "extraction"})
-    v1_labels = _extract(g_sub, map_sub, seed, params, transcript)
+    v1_labels = _extract(g_sub, map_sub, seed, transcript)
     if len(v1_labels) < 2:
         return _single_vertex_report(g, transcript, flags + ["extraction-too-small"])
 
@@ -486,18 +481,20 @@ def sigma_lower_auto(
 
     ``alpha``, when given, must equal ``alpha_exact(g, params.alpha_budget)``
     (value, witness, tag and nodes); it is searched for here otherwise, and
-    either way handed to the route taken.  In paper mode only a complete
-    graph needs it here; any other goes to the sparse route, which searches
-    for it only when its refusal depends on it.
+    either way handed to the route taken.  Paper mode refuses every
+    nonempty graph as the dense route on a complete graph and as the sparse
+    route otherwise (see ``_paper_refusal``).
     """
-    d = edge_density(g).fraction
+    if params.mode == "paper" and g.n > 0:
+        raise _paper_refusal(g, "auto", alpha, params.alpha_budget)
     if g.n == 0:
         return BoundReport(0, PROV_TRIVIAL)
-    if alpha is None and (params.mode == "practical" or 2 * g.m == g.n * (g.n - 1)):
+    if alpha is None:
         alpha = alpha_exact(g, params.alpha_budget)
-    if alpha is not None and alpha.exact and alpha.value <= 1:
+    if alpha.exact and alpha.value <= 1:
         return sigma_lower_dense(g, alpha, params, seed)
-    if params.mode == "practical" and d * d * g.n >= 1600:
+    d = edge_density(g)
+    if d * d * g.n >= 1600:
         report = sigma_lower_dense(g, alpha, params, seed)
         report.transcript.insert(0, {"step": "auto", "route": "dense"})
         return report
@@ -558,8 +555,11 @@ def check_ratio_induction_step(n: float, k: float) -> InductionStepReport:
     """Numerically replay the induction that turns the (n, alpha) bound into
     the ratio bound C*sqrt(n)/log(n), for a given vertex count and chromatic
     number.  All inequalities are evaluated in log space so astronomically
-    large inputs are fine; each check reports its two sides.
+    large inputs are fine; each check reports its two sides.  Needs
+    1 <= k <= n < inf.
     """
+    if not 1 <= k <= n < math.inf:
+        raise ValueError(f"k={k} out of range 1..n for n={n}")
     C, c1, c2 = BIG_C, C1, C2
     e = math.e
     checks: list[tuple[str, float, float, bool]] = []

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from itertools import combinations
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 from .graphs import Graph, bits, vertex_mask
 
@@ -48,10 +48,6 @@ class SubdivisionCertificate:
     def verified(self) -> bool:
         return self._verified
 
-    def interiors(self) -> Iterable[int]:
-        for path in self.paths.values():
-            yield from path[1:-1]
-
     def to_json_dict(self) -> dict:
         return {
             "order": self.order,
@@ -67,15 +63,36 @@ class SubdivisionCertificate:
 
     @classmethod
     def from_json_dict(cls, data: dict) -> "SubdivisionCertificate":
-        branch = tuple(int(v) for v in data["branch"])
-        if int(data.get("order", len(branch))) != len(branch):
+        """Inverse of ``to_json_dict``; a missing or malformed field raises
+        ``ValueError`` naming it."""
+
+        def ints(obj, key: str, where: str = "") -> tuple[int, ...]:
+            try:
+                return tuple(int(x) for x in obj[key])
+            except (KeyError, TypeError, ValueError):
+                raise ValueError(
+                    f"certificate field {where}{key} is missing or not a list of ints"
+                ) from None
+
+        if not isinstance(data, dict):
+            raise ValueError("certificate is not a JSON object")
+        branch = ints(data, "branch")
+        try:
+            order = int(data.get("order", len(branch)))
+        except (TypeError, ValueError):
+            raise ValueError("certificate field order is not an integer") from None
+        if order != len(branch):
             raise ValueError("certificate order disagrees with branch size")
+        entries = data.get("paths")
+        if not isinstance(entries, list):
+            raise ValueError("certificate field paths is missing or not a list")
         paths = {}
-        for entry in data["paths"]:
-            u, v = (int(x) for x in entry["pair"])
-            if u > v:
-                u, v = v, u
-            via = tuple(int(x) for x in entry["via"])
+        for i, entry in enumerate(entries):
+            pair = ints(entry, "pair", f"paths[{i}].")
+            if len(pair) != 2:
+                raise ValueError(f"certificate field paths[{i}].pair is not 2 vertices")
+            u, v = sorted(pair)
+            via = ints(entry, "via", f"paths[{i}].")
             paths[(u, v)] = (u,) + via + (v,)
         return cls(branch=branch, paths=paths)
 
@@ -134,23 +151,37 @@ def build_subdivision(
     avail = pool_mask
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     for idx, (u, v) in enumerate(missing):
-        found = None
-        for a in bits(g.rows[u] & avail):
-            row_a = g.rows[a] & avail & ~(1 << a)
-            for b in bits(row_a):
-                cmask = g.rows[b] & g.rows[v] & avail & ~(1 << a) & ~(1 << b)
-                if cmask:
-                    c = (cmask & -cmask).bit_length() - 1
-                    found = (a, b, c)
-                    break
-            if found:
-                break
+        found = next(_path_interiors(g.rows, u, v, avail), None)
         if found is None:
             return BuildFailure((u, v), idx, len(missing))
         a, b, c = found
         paths[(u, v)] = (u, a, b, c, v)
         avail &= ~((1 << a) | (1 << b) | (1 << c))
     return SubdivisionCertificate(branch=branch, paths=paths)
+
+
+def _path_interiors(
+    rows: tuple[int, ...], u: int, v: int, avail: int,
+    sa: int = 0, sb: int = 0, sc: int = 0,
+) -> Iterator[tuple[int, int, int]]:
+    """Interiors (a, b, c) of u-a-b-c-v paths inside ``avail``, in
+    lexicographic order from (sa, sb, sc) on.  The floors cut only the
+    first a, b and c rows of the resume point, so the other rows are not
+    shifted."""
+    arow = rows[u] & avail
+    vrow = rows[v] & avail
+    for a in bits(arow >> sa << sa if sa else arow):
+        brow = rows[a] & avail & ~(1 << a)
+        if a == sa and sb:
+            brow = brow >> sb << sb
+        for b in bits(brow):
+            crow = rows[b] & vrow & ~(1 << a) & ~(1 << b)
+            if a == sa and b == sb and sc:
+                crow = crow >> sc << sc
+            while crow:  # bits(crow) inlined: most rows are empty
+                low = crow & -crow
+                yield a, b, low.bit_length() - 1
+                crow ^= low
 
 
 def verify_subdivision(

@@ -276,7 +276,7 @@ def reference_drc_select(
     if mode not in ("paper", "practical"):
         raise ValueError(f"unknown mode {mode!r}")
     n = g.n
-    d = edge_density(g).fraction
+    d = edge_density(g)
     if mode == "paper" and d * d * n < 1600:
         raise PreconditionRefusal(
             DRC_DENSITY_REQUIREMENT, f"d^2*n = {float(d * d * n):.6g}"

@@ -131,7 +131,7 @@ def test_criterion_4_extraction_at_scale():
         n, p = 6400, 0.55
         for seed in range(5):
             g = gen_gnp(n, p, seed)
-            d = edge_density(g).fraction
+            d = edge_density(g)
             v1, v2 = drc_partition(g, seed)
             cert = drc_select(g, v1, v2, mode="paper")
             x = len(cert.x_set)

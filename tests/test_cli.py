@@ -88,6 +88,23 @@ class TestPipelineVerify:
             assert run("verify", str(gpath), str(cert_path)) == 1
             assert "FAIL" in capsys.readouterr().out
 
+    @pytest.mark.parametrize(
+        "text, field",
+        [
+            ("{}", "branch"),
+            ("[]", "JSON object"),
+            ('{"branch": [0, 1], "paths": [{"pair": [0, 1]}]}', "paths[0].via"),
+        ],
+    )
+    def test_verify_malformed_certificate_is_input_error(self, tmp_path, capsys, text, field):
+        gpath = tmp_path / "g.txt"
+        cert_path = tmp_path / "cert.json"
+        write_graph(cycle(5), gpath)
+        cert_path.write_text(text)
+        assert run("verify", str(gpath), str(cert_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+
     def test_paper_mode_refusal_is_input_error(self, tmp_path, capsys):
         gpath = tmp_path / "g.txt"
         run("gen", "--n", "100", "--p", "0.9", "--seed", "1", "--out", str(gpath))
@@ -131,6 +148,10 @@ class TestSweep:
     def test_bad_n_list(self, capsys):
         assert run("sweep", "--n", "abc") == 2
 
+    def test_n_zero_is_input_error(self, capsys):
+        assert run("sweep", "--n", "0") == 2
+        assert capsys.readouterr().err.startswith("error: ")
+
     def test_budget_bounds_the_one_alpha_search(self, capsys, monkeypatch):
         # --budget-nodes is the budget of the cell's search and of the
         # pipeline's, so a cell searches once, within it
@@ -159,6 +180,13 @@ class TestBounds:
         assert run("bounds", "--n", "1e150", "--k", "1e130") == 0
         out = capsys.readouterr().out
         assert "branch: main" in out and "passed: True" in out
+
+    @pytest.mark.parametrize("n", ["1", "0.5"])
+    def test_induction_check_needs_k_at_most_n(self, n, capsys):
+        assert run("bounds", "--n", n, "--k", "10") == 2
+        captured = capsys.readouterr()
+        assert "passed" not in captured.out
+        assert captured.err.startswith("error: ")
 
     def test_nothing_to_do(self, capsys):
         assert run("bounds", "--n", "100") == 2

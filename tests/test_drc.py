@@ -116,7 +116,7 @@ class TestSelect:
         g = gen_gnp(2200, 0.9, 4)  # d^2*n ~ 1780 passes the paper gate
         v1, v2 = drc_partition(g, seed=1)
         cert = drc_select(g, v1, v2, mode="paper")
-        d = edge_density(g).fraction
+        d = edge_density(g)
         n = g.n
         assert Fraction(10 * len(cert.x_set)) >= d * n
         assert Fraction(40 * cert.bad_pair_count) <= len(cert.x_set) ** 2

@@ -48,6 +48,11 @@ class TestRecords:
         with pytest.raises(ValueError):
             run_ratio_sweep([], 0.5, 1)
 
+    @pytest.mark.parametrize("ns", [[0], [-3], [20, 0]])
+    def test_n_below_one_rejected(self, ns):
+        with pytest.raises(ValueError, match=">= 1"):
+            run_ratio_sweep(ns, 0.5, 1)
+
 
 class TestEmission:
     def test_empty_records(self):

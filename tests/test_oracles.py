@@ -442,7 +442,7 @@ class TestTuranBound:
             if a > 5:
                 continue
             exact, simple = turan_density_bound(10, a)
-            d = edge_density(g).fraction
+            d = edge_density(g)
             assert d >= exact >= simple
             checked += 1
 

@@ -4,6 +4,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cliquesub import pipeline
 from cliquesub.experiments import OPTIMAL_P
@@ -11,8 +13,6 @@ from cliquesub.graphs import complement, edge_density, gen_gnp, new_graph
 from cliquesub.oracles import alpha_exact, sigma_exact_value
 from cliquesub.pipeline import (
     MAX_DEPTH,
-    REQ_DENSE_ALPHA,
-    REQ_DENSE_D,
     REQ_DENSE_N,
     REQ_SPARSE_ALPHA,
     REQ_SPARSE_D,
@@ -429,6 +429,62 @@ class TestPaperModeRefuses:
             assert exc.value.requirement == REQ_SPARSE_D
 
 
+    def test_complete_graph_refused_on_n_without_an_exact_alpha(self, monkeypatch):
+        # with alpha_budget=0 the search ends heuristic at alpha = 1; the
+        # gate needs no alpha to send a complete graph to the dense case
+        calls = []
+
+        def counted(g, budget):
+            calls.append(g.n)
+            return alpha_exact(g, budget)
+
+        monkeypatch.setattr(pipeline, "alpha_exact", counted)
+        with pytest.raises(PreconditionRefusal) as exc:
+            sigma_lower_auto(complete(12), PipelineParams.paper(alpha_budget=0))
+        assert exc.value.requirement == REQ_DENSE_N
+        assert str(exc.value) == f"hypothesis not met: {REQ_DENSE_N} (n = 12)"
+        assert calls == []
+
+
+@st.composite
+def small_graphs(draw):
+    n = draw(st.integers(1, 10))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return new_graph(n, [pair for pair, kept in zip(pairs, keep) if kept])
+
+
+class TestSmallGraphProperty:
+    @given(small_graphs(), st.integers(0, 3))
+    @settings(max_examples=300, deadline=None)
+    def test_certificates_and_refusals(self, g, seed):
+        exact, _ = sigma_exact_value(g)
+        assert exact.tag == "exact"
+        practical = PipelineParams.practical()
+        for rep in (
+            sigma_lower_auto(g, practical, seed=seed),
+            sigma_lower_sparse(g, practical, seed=seed),
+        ):
+            cert = rep.certificate
+            if cert is not None and cert.verified:
+                assert verify_subdivision(g, cert).ok
+                assert cert.order <= exact.value
+
+        # the paper's first failing hypothesis, from the exact alpha
+        alpha = alpha_exact(g).value
+        sparse = REQ_SPARSE_ALPHA if 2 * alpha > g.n else REQ_SPARSE_D
+        is_complete = 2 * g.m == g.n * (g.n - 1)
+        paper = PipelineParams.paper()
+        for route, requirement in (
+            (lambda: sigma_lower_dense(g, None, paper, seed), REQ_DENSE_N),
+            (lambda: sigma_lower_sparse(g, paper, seed=seed), sparse),
+            (lambda: sigma_lower_auto(g, paper, seed), REQ_DENSE_N if is_complete else sparse),
+        ):
+            with pytest.raises(PreconditionRefusal) as exc:
+                route()
+            assert exc.value.requirement == requirement
+
+
 class TestDispatch:
     def test_alpha_one_is_linear(self):
         fb = subdivision_bound_dispatch(1000, 1)
@@ -484,6 +540,13 @@ class TestInductionStep:
         rep = check_ratio_induction_step(n, n / 2)
         deletion = [c for c in rep.checks if "k" in c[0] or "n'" in c[0]]
         assert deletion and all(ok for _, _, _, ok in deletion)
+
+    @pytest.mark.parametrize(
+        "n, k", [(1, 10), (0.5, 10), (100, 0), (100, 101), (math.inf, 10)]
+    )
+    def test_k_outside_one_to_n_rejected(self, n, k):
+        with pytest.raises(ValueError, match="out of range"):
+            check_ratio_induction_step(n, k)
 
     def test_grid_minimum_location(self):
         rep = check_ratio_induction_step(1e150, 1e130)

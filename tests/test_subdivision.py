@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -222,6 +223,22 @@ class TestJsonFormat:
         data = json.loads(cert.to_json())
         assert list(data.keys()) == ["order", "branch", "paths"]
         assert data["paths"][0] == {"pair": [0, 2], "via": [4, 3]}
+
+    @pytest.mark.parametrize(
+        "data, field",
+        [
+            ({}, "branch"),
+            ([], "JSON object"),
+            ({"branch": [0, 1]}, "paths"),
+            ({"branch": [0, 1], "paths": [{"pair": [0, 1]}]}, "paths[0].via"),
+            ({"branch": [0, 1], "paths": [{"pair": [0], "via": [2]}]}, "paths[0].pair"),
+            ({"branch": [0, 1], "paths": ["x"]}, "paths[0].pair"),
+            ({"branch": [0], "order": "one", "paths": []}, "order"),
+        ],
+    )
+    def test_malformed_json_names_the_field(self, data, field):
+        with pytest.raises(ValueError, match=re.escape(field)):
+            SubdivisionCertificate.from_json_dict(data)
 
     def test_relabel_then_verify(self):
         from cliquesub.graphs import induced
