@@ -93,9 +93,11 @@ class DrcCertificate:
         }
 
 
-def drc_partition(
-    g: Graph, seed: int, max_attempts: int = 64
-) -> tuple[tuple[int, ...], tuple[int, ...]]:
+# Bipartition draws before drc_partition gives up.
+PARTITION_ATTEMPTS = 64
+
+
+def drc_partition(g: Graph, seed: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
     """Balanced bipartition with e(V1,V2) >= (d/2)*C(n,2), i.e. >= m/2.
 
     Deterministic given the seed; redraws until the bound holds and raises
@@ -104,13 +106,11 @@ def drc_partition(
     n = g.n
     if n < 2:
         raise ValueError("partition needs n >= 2")
-    if max_attempts < 1:
-        raise ValueError("max_attempts must be >= 1")
     rng = np.random.Generator(np.random.PCG64(seed))
     half = (n + 1) // 2
     best = None
     best_crossing = -1
-    for _ in range(max_attempts):
+    for _ in range(PARTITION_ATTEMPTS):
         perm = rng.permutation(n)
         v1 = tuple(sorted(int(x) for x in perm[:half]))
         v2 = tuple(sorted(int(x) for x in perm[half:]))
@@ -119,7 +119,7 @@ def drc_partition(
             return v1, v2
         if crossing > best_crossing:
             best, best_crossing = (v1, v2), crossing
-    raise PartitionError(max_attempts, best, best_crossing)
+    raise PartitionError(PARTITION_ATTEMPTS, best, best_crossing)
 
 
 def crossing_edges(g: Graph, v1: Iterable[int], v2: Iterable[int]) -> int:
@@ -288,10 +288,13 @@ def count_disjoint_paths4(
 
     # Depth-first packing search on an explicit stack, so the depth (one
     # level per packed path, up to ``target``) is not bounded by Python's
-    # recursion limit.  Frame i holds the vertices still available after i
-    # paths and the iterator over the next (a, b, c) interiors to try.
+    # recursion limit.  A packing is searched in increasing order of its
+    # paths' first interior vertices, which differ as the paths are
+    # disjoint.  Frame i holds the vertices still available after i paths
+    # and the iterator over the (a, b, c) interiors to try next; a frame
+    # pushed after the interior (a, b, c) starts its paths above a.
     best = 0
-    stack = [(avail0, _path_interiors(rows, u, v, avail0, 0, 0, 0))]
+    stack = [(avail0, _path_interiors(rows, u, v, avail0))]
     while stack:
         avail, interiors = stack[-1]
         step = next(interiors, None)
@@ -306,7 +309,7 @@ def count_disjoint_paths4(
             if best >= target:
                 break
         if count + ub(child) > best:
-            stack.append((child, _path_interiors(rows, u, v, child, a, b, c + 1)))
+            stack.append((child, _path_interiors(rows, u, v, child, lo=a + 1)))
     return best
 
 

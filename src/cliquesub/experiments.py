@@ -34,7 +34,7 @@ from .oracles import (
     sigma_exact_value,
     sigma_upper_cert,
 )
-from .pipeline import PipelineParams, PreconditionRefusal, sigma_lower_auto
+from .pipeline import PipelineParams, sigma_lower_auto
 
 __all__ = [
     "ExperimentRecord",
@@ -117,14 +117,11 @@ def _cell(
         chi_tag = "heuristic"
     sigma_upper_t = None if sigma_upper is None else sigma_upper.t
     params = PipelineParams.practical(alpha_budget=budgets.alpha_nodes)
-    try:
-        report = sigma_lower_auto(g, params, seed, alpha)
-        if report.certificate is not None and report.certificate.verified:
-            sigma_lower = max(1, report.certificate.order)
-        else:
-            # cited or trivial bounds stay out of the point ratio
-            sigma_lower = 1 if n >= 1 else 0
-    except PreconditionRefusal:
+    report = sigma_lower_auto(g, params, seed, alpha)
+    if report.certificate is not None and report.certificate.verified:
+        sigma_lower = max(1, report.certificate.order)
+    else:
+        # cited or trivial bounds stay out of the point ratio
         sigma_lower = 1
     if n <= TINY_SIGMA_MAX_N:
         tiny, _ = sigma_exact_value(g, TINY_SIGMA_NODES)
@@ -161,18 +158,23 @@ def run_ratio_sweep(
     budgets: SweepBudgets | None = None,
     base_seed: int = 0,
 ) -> list[ExperimentRecord]:
-    """One record per (n, seed), sorted by (n, seed); deterministic."""
+    """One record per (n, seed), in (n, seed) order; deterministic."""
+    _check_sizes(ns, seeds_per_n)
+    budgets = budgets or SweepBudgets()
+    return [
+        _cell(n, p, base_seed + i, budgets)
+        for n in sorted(set(ns))
+        for i in range(seeds_per_n)
+    ]
+
+
+def _check_sizes(ns: Sequence[int], seeds_per_n: int) -> None:
     if not ns:
         raise ValueError("need at least one n")
     if min(ns) < 1:
         raise ValueError(f"every n must be >= 1, got {min(ns)}")
-    budgets = budgets or SweepBudgets()
-    records = []
-    for n in sorted(ns):
-        for i in range(seeds_per_n):
-            records.append(_cell(n, p, base_seed + i, budgets))
-    records.sort(key=lambda r: (r.n, r.seed))
-    return records
+    if seeds_per_n < 1:
+        raise ValueError(f"seeds per n must be >= 1, got {seeds_per_n}")
 
 
 _CSV_FIELDS = [f.name for f in fields(ExperimentRecord)]
@@ -216,6 +218,7 @@ def find_certified_ratio_violation(
     certifies within budget the record is None and the log reports the best
     achieved gap instead; the caller is expected to surface that log.
     """
+    _check_sizes(ns, seeds_per_n)
     budgets = budgets or SweepBudgets()
     log: list[str] = []
     best_gap: Optional[float] = None

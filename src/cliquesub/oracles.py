@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .graphs import Graph, _pack_rows, _unpack_rows, bits, complement, edge_density
-from .subdivision import SubdivisionCertificate
+from .subdivision import SubdivisionCertificate, _path_interiors
 
 __all__ = [
     "Tagged",
@@ -59,7 +59,7 @@ class Tagged:
         return self.tag == TAG_EXACT
 
 
-def _greedy_clique(rows: tuple[int, ...], n: int, cand: int) -> int:
+def _greedy_clique(rows: tuple[int, ...], cand: int) -> int:
     """Greedy max-degree clique inside ``cand``; returns a vertex mask."""
     clique = 0
     while cand:
@@ -73,7 +73,7 @@ def _greedy_clique(rows: tuple[int, ...], n: int, cand: int) -> int:
     return clique
 
 
-def _improve_swaps(rows: tuple[int, ...], n: int, clique: int, full: int) -> int:
+def _improve_swaps(rows: tuple[int, ...], clique: int, full: int) -> int:
     """(1,2)-swap local search: drop one clique vertex, add two outsiders."""
     improved = True
     while improved:
@@ -178,7 +178,7 @@ def _max_clique_core(rows: Sequence[int], n: int, budget: int) -> Tagged:
     if n == 0:
         return Tagged(0, (), TAG_EXACT, 0)
     full = (1 << n) - 1
-    incumbent = _improve_swaps(rows, n, _greedy_clique(rows, n, full), full)
+    incumbent = _improve_swaps(rows, _greedy_clique(rows, full), full)
     best_size = incumbent.bit_count()
     best_clique = tuple(bits(incumbent))
     nodes = 0
@@ -250,8 +250,8 @@ def _max_clique_core(rows: Sequence[int], n: int, budget: int) -> Tagged:
 
 def greedy_clique_lower(g: Graph) -> Tagged:
     """Cheap clique witness; always a sound chromatic lower bound."""
-    mask = _greedy_clique(g.rows, g.n, g.full_mask()) if g.n else 0
-    mask = _improve_swaps(g.rows, g.n, mask, g.full_mask()) if mask else mask
+    mask = _greedy_clique(g.rows, g.full_mask()) if g.n else 0
+    mask = _improve_swaps(g.rows, mask, g.full_mask()) if mask else mask
     return Tagged(mask.bit_count(), tuple(bits(mask)), TAG_HEURISTIC)
 
 
@@ -358,42 +358,46 @@ class ColoringResult:
 def _try_k_coloring(g: Graph, k: int, budget: list[int]) -> Optional[tuple[int, ...]] | str:
     """Backtracking k-colorability with dynamic saturation order.
 
-    Returns a coloring, None if proven impossible, or "exceeded".
+    Returns a coloring, None if proven impossible, or "exceeded".  The
+    search runs on an explicit stack with one frame per coloured vertex,
+    so its depth, up to n, is not bounded by Python's recursion limit.
     """
     n = g.n
     color = [-1] * n
     order = _SaturationOrder(g)
-
-    def assign(depth: int, max_used: int):
-        if depth == n:
-            return tuple(color)
+    # frame: [vertex, colours left to try (last first), colours in use
+    # before it, undo of its current colour]
+    stack: list[list] = []
+    used = 0
+    while len(stack) < n:
         v = order.pick()
-        if order.saturation(v) >= k:
-            return None
-        # allow at most one brand-new color index (class symmetry breaking)
-        limit = min(k, max_used + 1)
-        taken = order.seen[:limit, v].tolist()
-        for c in range(limit):
-            if taken[c]:
+        if order.saturation(v) < k:
+            # allow at most one brand-new color index (class symmetry breaking)
+            limit = min(k, used + 1)
+            taken = order.seen[:limit, v].tolist()
+            untried = [c for c in range(limit - 1, -1, -1) if not taken[c]]
+            stack.append([v, untried, used, None])
+        # give the top vertex its next colour, backtracking while none is left
+        while stack:
+            frame = stack[-1]
+            v, untried, used, undo = frame
+            if undo is not None:
+                order.uncolour(undo)
+                color[v] = -1
+            if not untried:
+                stack.pop()
                 continue
+            c = untried.pop()
             budget[0] -= 1
             if budget[0] < 0:
                 return "exceeded"
             color[v] = c
-            undo = order.colour(v, c)
-            res = assign(depth + 1, max(max_used, c + 1))
-            order.uncolour(undo)
-            color[v] = -1
-            if res is not None:
-                return res
-        return None
-
-    try:
-        return assign(0, 0)
-    finally:
-        # assign calls itself through its closure cell, a cycle that would
-        # keep ``order`` and its arrays alive until the next full gc
-        del assign
+            frame[3] = order.colour(v, c)
+            used = max(used, c + 1)
+            break
+        else:
+            return None
+    return tuple(color)
 
 
 def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ColoringResult:
@@ -431,35 +435,18 @@ class SigmaSearchResult:
     nodes: int = 0
 
 
-def _paths_fixed_length(g: Graph, u: int, v: int, avail: int, length: int):
-    """Yield simple u-v paths with exactly ``length`` edges, interiors in avail,
-    in lexicographic interior order."""
-    interior_len = length - 1
-
-    def extend(prev: int, path: list[int], remaining: int, used: int):
-        if remaining == 0:
-            if g.has_edge(prev, v):
-                yield tuple(path) + (v,)
-            return
-        cand = g.rows[prev] & avail & ~used
-        for w in bits(cand):
-            path.append(w)
-            yield from extend(w, path, remaining - 1, used | (1 << w))
-            path.pop()
-
-    try:
-        yield from extend(u, [u], interior_len, 0)
-    finally:
-        # runs when the generator finishes or is dropped: extend calls
-        # itself through its closure cell, a cycle that would keep g alive
-        del extend
-
-
 def sigma_exact_tiny(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> SigmaSearchResult:
     """Decide whether g contains a t-clique subdivision (intended n <= ~12).
 
     Positive answers carry a checkable certificate; negative answers mean
-    the search over branch sets and path packings was exhausted.
+    the search over branch sets and path packings was exhausted.  Branch
+    sets are the t-subsets of the vertices of degree >= t-1, in
+    combination order over those vertices sorted by falling degree.  For
+    each, one path per nonadjacent pair is packed depth first, pairs in
+    lexicographic order;
+    a pair's paths avoid the branch set and the interiors already taken,
+    and come shortest first, each length in the lexicographic order of
+    the builder's enumerator ``_path_interiors``.
     """
     if t < 1:
         raise ValueError("subdivision order must be >= 1")
@@ -478,8 +465,10 @@ def sigma_exact_tiny(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> SigmaSea
 
     def pair_paths(pair: tuple[int, int], avail: int):
         # every u-v path through avail, shortest first
+        u, v = pair
         for length in range(2, avail.bit_count() + 2):
-            yield from _paths_fixed_length(g, pair[0], pair[1], avail, length)
+            for interior in _path_interiors(g.rows, u, v, avail, length):
+                yield (u, *interior, v)
 
     def pack(pairs: list[tuple[int, int]], avail: int, chosen: list[tuple[int, ...]]):
         """Depth first over one path per pair, on an explicit stack: level i
@@ -632,20 +621,14 @@ class GraphStats:
     notes: list[str] = field(default_factory=list)
 
 
-def graph_stats(
-    g: Graph,
-    budget: int = DEFAULT_BUDGET,
-    with_chi: bool | None = None,
-) -> GraphStats:
-    """Oracle bounds for a graph; chi search only at small n unless forced."""
+def graph_stats(g: Graph, budget: int = DEFAULT_BUDGET) -> GraphStats:
+    """Oracle bounds for a graph; chi is searched for only when n <= 20."""
     stats = GraphStats(n=g.n, m=g.m, density=edge_density(g))
     stats.alpha = alpha_exact(g, budget)
     stats.omega = omega_exact(g, budget)
     k, _ = dsatur_upper(g)
     stats.dsatur = k
-    if with_chi is None:
-        with_chi = g.n <= 20
-    if with_chi:
+    if g.n <= 20:
         stats.chi = chi_exact(g, budget)
     if stats.alpha.exact and stats.omega.exact:
         # consistency: omega <= dsatur and n <= alpha * dsatur

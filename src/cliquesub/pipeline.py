@@ -250,12 +250,20 @@ def sigma_lower_dense(
     d^2*n >= 1600 must hold, and the report carries the best certificate
     the greedy builder achieves.
 
-    ``alpha`` of None is searched for here with ``params.alpha_budget``.
+    ``alpha`` of None is searched for here with ``params.alpha_budget``,
+    after the gate: a refusal searches for no alpha.
     """
     if params.mode == "paper" and g.n > 0:
         raise _paper_refusal(g, "dense", alpha, params.alpha_budget)
     n = g.n
     d = edge_density(g)
+    complete = 2 * g.m == n * (n - 1)
+    # the gate reads only n and m, so it refuses before any alpha search;
+    # a complete graph takes the clique shortcut below and needs no gate
+    if not complete and d * d * n < 1600:
+        raise PreconditionRefusal(
+            DRC_DENSITY_REQUIREMENT, f"d^2*n = {float(d * d * n):.6g}"
+        )
     if alpha is None:
         alpha = alpha_exact(g, params.alpha_budget)
     a_val, a_exact = _alpha_value(alpha)
@@ -266,17 +274,12 @@ def sigma_lower_dense(
     ]
     if n == 0:
         return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
-    if a_val <= 1:
-        # independence number 1 means the graph is complete
+    if complete:
         cert = build_subdivision(g, range(n), ())
         assert isinstance(cert, SubdivisionCertificate)
         verify_subdivision(g, cert, exact_length=4)
         transcript.append({"step": "clique-shortcut", "order": n})
         return BoundReport(n, PROV_CONSTRUCTIVE, cert, transcript, flags)
-    if d * d * n < 1600:
-        raise PreconditionRefusal(
-            DRC_DENSITY_REQUIREMENT, f"d^2*n = {float(d * d * n):.6g}"
-        )
     u_set = _extract(g, range(n), seed, transcript)
     pool_mask = g.full_mask() & ~vertex_mask(u_set)
     return _build(g, u_set, pool_mask, transcript, flags)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from itertools import combinations
 from typing import Iterable, Iterator, Optional
 
-from .graphs import Graph, bits, vertex_mask
+from .graphs import Graph, vertex_mask
 
 __all__ = [
     "SubdivisionCertificate",
@@ -161,27 +161,31 @@ def build_subdivision(
 
 
 def _path_interiors(
-    rows: tuple[int, ...], u: int, v: int, avail: int,
-    sa: int = 0, sb: int = 0, sc: int = 0,
-) -> Iterator[tuple[int, int, int]]:
-    """Interiors (a, b, c) of u-a-b-c-v paths inside ``avail``, in
-    lexicographic order from (sa, sb, sc) on.  The floors cut only the
-    first a, b and c rows of the resume point, so the other rows are not
-    shifted."""
-    arow = rows[u] & avail
-    vrow = rows[v] & avail
-    for a in bits(arow >> sa << sa if sa else arow):
-        brow = rows[a] & avail & ~(1 << a)
-        if a == sa and sb:
-            brow = brow >> sb << sb
-        for b in bits(brow):
-            crow = rows[b] & vrow & ~(1 << a) & ~(1 << b)
-            if a == sa and b == sb and sc:
-                crow = crow >> sc << sc
-            while crow:  # bits(crow) inlined: most rows are empty
-                low = crow & -crow
-                yield a, b, low.bit_length() - 1
-                crow ^= low
+    rows: tuple[int, ...], u: int, v: int, avail: int, length: int = 4, lo: int = 0
+) -> Iterator[tuple[int, ...]]:
+    """Interiors of the u-v paths with ``length`` >= 2 edges whose
+    ``length - 1`` interior vertices all lie in ``avail``, which must hold
+    neither u nor v.  Interiors come in lexicographic order, and the first
+    interior vertex is at least ``lo``.
+
+    Each neighbour a of u in ``avail`` is followed by the interiors of the
+    a-v paths with one edge fewer inside ``avail`` without a; at length 2
+    the candidates are the common neighbours of u and v, the last hop.
+    """
+    cand = rows[u] & avail
+    if lo:
+        cand = cand >> lo << lo
+    if length == 2:
+        cand &= rows[v]
+    while cand:  # bits(cand) inlined, one generator fewer per level
+        low = cand & -cand
+        a = low.bit_length() - 1
+        cand ^= low
+        if length == 2:
+            yield (a,)
+        else:
+            for rest in _path_interiors(rows, a, v, avail ^ low, length - 1):
+                yield (a, *rest)
 
 
 def verify_subdivision(

@@ -188,7 +188,7 @@ def reference_max_clique_core(rows: tuple[int, ...], n: int, budget: int) -> Tag
     full = (1 << n) - 1
     if n == 0:
         return Tagged(0, (), TAG_EXACT, 0)
-    incumbent = _improve_swaps(rows, n, _greedy_clique(rows, n, full), full)
+    incumbent = _improve_swaps(rows, _greedy_clique(rows, full), full)
     best_size = incumbent.bit_count()
     best_mask = incumbent
     nodes = 0

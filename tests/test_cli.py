@@ -131,6 +131,22 @@ class TestPipelineVerify:
             f"refused: hypothesis not met: {pipeline.REQ_DENSE_N} (n = 300)\n"
         )
 
+    def test_practical_dense_refusal_searches_no_alpha(self, tmp_path, capsys, monkeypatch):
+        # the gate d^2*n >= 1600 reads only n and m, so it refuses first
+        calls = []
+
+        def counted(g, *args):
+            calls.append(g.n)
+            raise AssertionError("alpha searched before a refusal that needs none")
+
+        monkeypatch.setattr(pipeline, "alpha_exact", counted)
+        gpath = tmp_path / "g.txt"
+        run("gen", "--n", "200", "--p", "0.5", "--seed", "1", "--out", str(gpath))
+        capsys.readouterr()
+        assert run("pipeline", str(gpath), "--case", "dense") == 2
+        assert calls == []
+        assert "refused: hypothesis not met: d^2 * n >= 1600" in capsys.readouterr().err
+
 
 class TestSweep:
     def test_csv_to_stdout(self, capsys):
@@ -151,6 +167,13 @@ class TestSweep:
     def test_n_zero_is_input_error(self, capsys):
         assert run("sweep", "--n", "0") == 2
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("seeds", ["0", "-1"])
+    def test_no_seeds_is_input_error(self, seeds, capsys):
+        assert run("sweep", "--n", "5", "--seeds", seeds) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
 
     def test_budget_bounds_the_one_alpha_search(self, capsys, monkeypatch):
         # --budget-nodes is the budget of the cell's search and of the

@@ -53,6 +53,16 @@ class TestRecords:
         with pytest.raises(ValueError, match=">= 1"):
             run_ratio_sweep(ns, 0.5, 1)
 
+    @pytest.mark.parametrize("seeds", [0, -2])
+    def test_seeds_below_one_rejected(self, seeds):
+        with pytest.raises(ValueError, match="seeds per n must be >= 1"):
+            run_ratio_sweep([20], 0.5, seeds)
+        with pytest.raises(ValueError, match="seeds per n must be >= 1"):
+            find_certified_ratio_violation([20], seeds_per_n=seeds)
+
+    def test_repeated_n_gives_one_record_per_cell(self):
+        assert run_ratio_sweep([20, 20], 0.5, 2) == run_ratio_sweep([20], 0.5, 2)
+
 
 class TestEmission:
     def test_empty_records(self):

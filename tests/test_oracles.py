@@ -248,6 +248,12 @@ class TestChi:
             a = alpha_exact(g).value
             assert chi * a >= g.n
 
+    def test_odd_cycle_deeper_than_recursion_limit(self):
+        # refuting a 2-colouring colours 1500 vertices on one search path,
+        # past Python's default limit of 1000 frames
+        res = chi_exact(cycle(1501))
+        assert res.exact and res.value == 3
+
     def test_returns_without_keeping_the_search_state(self, gc_off):
         chi_exact(gen_gnp(30, 0.5, 1))
         assert not any(isinstance(o, _SaturationOrder) for o in gc.get_objects())

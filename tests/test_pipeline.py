@@ -136,6 +136,21 @@ class TestDense:
         with pytest.raises(PreconditionRefusal, match="1600"):
             sigma_lower_dense(g, alpha_exact(g), PipelineParams.practical())
 
+    def test_practical_gate_refuses_before_alpha(self, monkeypatch):
+        calls = []
+
+        def counted(g, *args):
+            calls.append(g.n)
+            return alpha_exact(g, *args)
+
+        monkeypatch.setattr(pipeline, "alpha_exact", counted)
+        with pytest.raises(PreconditionRefusal, match="1600"):
+            sigma_lower_dense(gen_gnp(200, 0.5, 1), None, PipelineParams.practical())
+        assert calls == []
+        # a complete graph below the gate still takes the clique shortcut
+        rep = sigma_lower_dense(complete(30), None, PipelineParams.practical())
+        assert rep.claimed_sigma_lower == 30 and calls == [30]
+
     def test_practical_end_to_end_regression(self, route_reports):
         g, rep = route_reports["dense"]
         assert rep.provenance == "certified-constructive"

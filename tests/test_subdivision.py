@@ -1,5 +1,6 @@
 import json
 import re
+from itertools import permutations
 
 import pytest
 
@@ -9,6 +10,7 @@ from cliquesub.oracles import sigma_exact_tiny
 from cliquesub.subdivision import (
     BuildFailure,
     SubdivisionCertificate,
+    _path_interiors,
     build_subdivision,
     relabel_certificate,
     sigma_lower_from_cert,
@@ -89,6 +91,29 @@ class TestBuilder:
             )
             assert verify_subdivision(g, cert, exact_length=4).ok
             successes += 1
+
+
+class TestPathInteriors:
+    def test_matches_brute_force(self, rng):
+        # every simple u-v path with the given number of edges and its
+        # interior in avail, listed from all orderings of interior vertices
+        for _ in range(300):
+            n = rng.randint(2, 9)
+            g = random_graph(rng, n, rng.uniform(0.2, 0.9))
+            u, v = rng.sample(range(n), 2)
+            others = [w for w in range(n) if w not in (u, v)]
+            avail = [w for w in others if rng.random() < 0.8]
+            mask = sum(1 << w for w in avail)
+            length = rng.randint(2, 6)
+            lo = rng.choice([0, rng.randint(0, n)])
+            want = sorted(
+                interior
+                for interior in permutations(avail, length - 1)
+                if interior[0] >= lo
+                and all(g.has_edge(a, b) for a, b in zip((u, *interior), (*interior, v)))
+            )
+            got = list(_path_interiors(g.rows, u, v, mask, length, lo))
+            assert got == want, (n, u, v, avail, length, lo)
 
 
 class TestVerifier:
