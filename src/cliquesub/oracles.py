@@ -16,8 +16,16 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .graphs import Graph, _pack_rows, _unpack_rows, bits, complement, edge_density
-from .subdivision import SubdivisionCertificate, _path_interiors
+from .graphs import (
+    Graph,
+    _pack_rows,
+    _unpack_rows,
+    bits,
+    complement,
+    edge_density,
+    vertex_mask,
+)
+from .subdivision import SubdivisionCertificate, _missing_pairs, _path_interiors
 
 __all__ = [
     "Tagged",
@@ -270,19 +278,35 @@ class _SaturationOrder:
 
     The next vertex is the uncoloured one with the most distinct neighbour
     colours, then the highest degree, then the lowest index.  That order is
-    one int64 key per vertex, sat*n*(D+1) + deg*n + (n-1-v) with D the
-    maximum degree, or -1 once coloured, so a pick is an argmax.
+    one int64 key per vertex, sat*step + deg*n + (n-1-v) with
+    step = n*(D+1) and D the maximum degree, so a pick is an argmax.
     ``seen[c, w]`` records that some coloured neighbour of w has colour c.
     A smallest free colour is at most D, so D+2 rows hold every colour in
     use plus one that no vertex has.
+
+    Colouring v with c bumps the key of every neighbour of v that had not
+    seen c by one step, coloured neighbours included, and sets v's own key
+    to the sentinel -(D+2)*step.  A coloured vertex takes at most one bump
+    per neighbour, at most D, so even D+1 bumps leave its key below 0 and
+    below every uncoloured key, and the bump needs no mask.  Uncolouring
+    subtracts the same bumps, so undo in LIFO order restores ``key`` and
+    ``seen`` exactly.
+
+    A step costs four n-length passes (the ``newly`` row, its OR into
+    ``seen``, the bump array and its add into ``key``) plus the argmax of a
+    pick and the free-colour lookup in one column of ``seen``.  Memory: the
+    graph's cached n x n bool matrix, the zeroed (D+2) x n bool table, of
+    which a run writes only the rows of the colours it uses, and one
+    n-length bool row per coloured vertex whose undo is kept.
     """
 
     def __init__(self, g: Graph):
         n = g.n
         self.mat = g.bool_matrix()
-        deg = self.mat.sum(axis=1, dtype=np.int64)
+        deg = np.fromiter((row.bit_count() for row in g.rows), dtype=np.int64, count=n)
         max_deg = int(deg.max())
         self.step = n * (max_deg + 1)
+        self.coloured_key = -(max_deg + 2) * self.step
         self.key = deg * n + np.arange(n - 1, -1, -1, dtype=np.int64)
         self.seen = np.zeros((max_deg + 2, n), dtype=bool)
 
@@ -296,17 +320,16 @@ class _SaturationOrder:
         """Colour v with c; returns what ``uncolour`` needs to undo it."""
         key, seen_c = self.key, self.seen[c]
         old = int(key[v])
-        key[v] = -1
-        newly = self.mat[v] & ~seen_c
+        key[v] = self.coloured_key
+        newly = np.greater(self.mat[v], seen_c)
         seen_c |= newly
-        bumped = newly & (key >= 0)
-        key[bumped] += self.step
-        return v, old, newly, bumped, seen_c
+        key += newly * self.step
+        return v, old, newly, seen_c
 
     def uncolour(self, undo) -> None:
-        v, old, newly, bumped, seen_c = undo
-        self.key[bumped] -= self.step
-        seen_c &= ~newly
+        v, old, newly, seen_c = undo
+        self.key -= newly * self.step
+        seen_c ^= newly
         self.key[v] = old
 
 
@@ -318,8 +341,10 @@ def dsatur_upper(g: Graph) -> tuple[int, tuple[int, ...]]:
     the smallest colour no neighbour has.  The colouring matches, vertex for
     vertex, the set-based loop that the tests keep as a reference.
 
-    A step costs O(n) numpy work.  Memory: the graph's cached n x n bool
-    matrix plus a (D+2) x n bool table, D the maximum degree.
+    A step costs four n-length numpy passes, an argmax and one column read
+    (see ``_SaturationOrder``).  Memory: the graph's cached n x n bool
+    matrix plus a zeroed (D+2) x n bool table, D the maximum degree, of
+    which only the rows of the colours used are written.
     """
     n = g.n
     if n == 0:
@@ -502,14 +527,8 @@ def sigma_exact_tiny(g: Graph, t: int, budget: int = DEFAULT_BUDGET) -> SigmaSea
         nodes += 1
         if nodes > budget:
             return SigmaSearchResult("exceeded", nodes=nodes)
-        smask = 0
-        for v in S:
-            smask |= 1 << v
-        pairs = [
-            (a, b)
-            for a, b in combinations(sorted(S), 2)
-            if not g.has_edge(a, b)
-        ]
+        smask = vertex_mask(S)
+        pairs = _missing_pairs(g.rows, sorted(S))
         chosen: list[tuple[int, ...]] = []
         res = pack(pairs, full & ~smask, chosen)
         if res == "exceeded":

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import combinations
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .graphs import Graph, vertex_mask
 
@@ -145,9 +144,7 @@ def build_subdivision(
     smask = vertex_mask(branch)
     if pool_mask & smask:
         raise ValueError("pool overlaps the branch set")
-    missing = [
-        (u, v) for u, v in combinations(branch, 2) if not g.has_edge(u, v)
-    ]
+    missing = _missing_pairs(g.rows, branch)
     avail = pool_mask
     paths: dict[tuple[int, int], tuple[int, ...]] = {}
     for idx, (u, v) in enumerate(missing):
@@ -158,6 +155,22 @@ def build_subdivision(
         paths[(u, v)] = (u, a, b, c, v)
         avail &= ~((1 << a) | (1 << b) | (1 << c))
     return SubdivisionCertificate(branch=branch, paths=paths)
+
+
+def _missing_pairs(rows: tuple[int, ...], branch: Sequence[int]) -> list[tuple[int, int]]:
+    """The nonadjacent pairs (u, v), u < v, of the ascending, distinct
+    vertices ``branch``, in lexicographic order: one AND of u's non-neighbours
+    with the branch vertices above u per vertex u."""
+    above = vertex_mask(branch)
+    missing = []
+    for u in branch:
+        above ^= 1 << u
+        gaps = above & ~rows[u]
+        while gaps:  # bits(gaps) inlined
+            low = gaps & -gaps
+            missing.append((u, low.bit_length() - 1))
+            gaps ^= low
+    return missing
 
 
 def _path_interiors(
@@ -209,11 +222,7 @@ def verify_subdivision(
             return fail("duplicate branch vertex")
         seen.add(v)
     smask = vertex_mask(cert.branch)
-    expected = {
-        (u, v)
-        for u, v in combinations(sorted(cert.branch), 2)
-        if not g.has_edge(u, v)
-    }
+    expected = set(_missing_pairs(g.rows, sorted(cert.branch)))
     stored = set(cert.paths)
     if stored - expected:
         return fail("path stored for a pair that is adjacent or outside the branch set")

@@ -3,6 +3,7 @@ import random
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cliquesub import oracles
@@ -263,6 +264,88 @@ class TestChi:
         res = chi_exact(g, budget=5)
         assert res.tag in ("exceeded", "exact")
         assert res.chi_lower <= res.chi_upper
+
+    def test_pinned_search_trees_on_the_coloring_batch(self):
+        # (chi_lower, chi_upper, tag, nodes) on G(50, 1/2, s), s = 0..9: a
+        # change to the saturation order's arithmetic must leave the
+        # backtracking tree, and so the node count, as it is
+        pinned = [
+            (9, 9, "exact", 1865),
+            (9, 9, "exact", 13698),
+            (10, 10, "exact", 3538),
+            (9, 9, "exact", 18922),
+            (9, 9, "exact", 1817),
+            (10, 10, "exact", 5675),
+            (9, 9, "exact", 12007),
+            (9, 9, "exact", 13204),
+            (10, 10, "exact", 7844),
+            (9, 9, "exact", 1325),
+        ]
+        for seed, expected in enumerate(pinned):
+            res = chi_exact(gen_gnp(50, 0.5, seed))
+            assert (res.chi_lower, res.chi_upper, res.tag, res.nodes) == expected, seed
+
+
+class TestSaturationOrder:
+    @staticmethod
+    def round_trip(g, steps):
+        """Colour (v, c) for each step, checking every pick, then undo the
+        steps in LIFO order, checking that each restores key and seen."""
+        order = _SaturationOrder(g)
+        snapshots, undos, coloured = [], [], set()
+        for v, c in steps:
+            snapshots.append((order.key.copy(), order.seen.copy()))
+            undos.append(order.colour(v, c))
+            coloured.add(v)
+            if len(coloured) < g.n:
+                assert order.pick() not in coloured
+        assert all(order.key[v] < 0 for v in coloured)
+        for undo in reversed(undos):
+            order.uncolour(undo)
+            key, seen = snapshots.pop()
+            assert np.array_equal(order.key, key)
+            assert np.array_equal(order.seen, seen)
+
+    @staticmethod
+    def proper_steps(g, rng, vertices):
+        """A random proper colouring of ``vertices`` in their order, each
+        colour at most the maximum degree."""
+        max_deg = max(g.degree(v) for v in range(g.n))
+        colour = {}
+        steps = []
+        for v in vertices:
+            taken = {colour[w] for w in g.neighbors(v) if w in colour}
+            c = rng.choice([c for c in range(max_deg + 1) if c not in taken])
+            colour[v] = c
+            steps.append((v, c))
+        return steps
+
+    def test_round_trip_on_random_graphs(self, rng):
+        for _ in range(100):
+            g = random_graph(rng, rng.randint(2, 25))
+            if not g.m:
+                continue
+            vertices = rng.sample(range(g.n), rng.randint(1, g.n))
+            self.round_trip(g, self.proper_steps(g, rng, vertices))
+
+    def test_round_trip_on_complete_graphs(self, rng):
+        for n in range(2, 12):
+            g = complete(n)
+            vertices = rng.sample(range(n), n)
+            self.round_trip(g, self.proper_steps(g, rng, vertices))
+
+    def test_centre_of_a_star_takes_every_bump(self):
+        # the centre is coloured first, then its D leaves take D distinct
+        # new colours, so the centre's key is bumped D times while the
+        # isolated last vertex, of key 0, is still uncoloured
+        for leaves in (1, 2, 5, 30):
+            g = new_graph(leaves + 2, [(0, i) for i in range(1, leaves + 1)])
+            steps = [(0, 0)] + [(i, i) for i in range(1, leaves + 1)]
+            self.round_trip(g, steps)
+            order = _SaturationOrder(g)
+            for v, c in steps:
+                order.colour(v, c)
+            assert order.pick() == leaves + 1
 
 
 class TestDsatur:

@@ -1,6 +1,6 @@
 import json
 import re
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -10,6 +10,7 @@ from cliquesub.oracles import sigma_exact_tiny
 from cliquesub.subdivision import (
     BuildFailure,
     SubdivisionCertificate,
+    _missing_pairs,
     _path_interiors,
     build_subdivision,
     relabel_certificate,
@@ -91,6 +92,17 @@ class TestBuilder:
             )
             assert verify_subdivision(g, cert, exact_length=4).ok
             successes += 1
+
+
+class TestMissingPairs:
+    def test_matches_pairwise_listing(self, rng):
+        for _ in range(200):
+            g = random_graph(rng, rng.randint(0, 40))
+            branch = sorted(rng.sample(range(g.n), rng.randint(0, g.n)))
+            expected = [
+                (u, v) for u, v in combinations(branch, 2) if not g.has_edge(u, v)
+            ]
+            assert _missing_pairs(g.rows, branch) == expected
 
 
 class TestPathInteriors:
