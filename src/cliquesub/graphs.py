@@ -18,6 +18,10 @@ __all__ = [
     "vertex_mask",
 ]
 
+# doubles per generator call in ``gen_gnp``: a 512 KB temporary
+GNP_DRAW_BLOCK = 1 << 16
+
+
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
     while mask:
@@ -191,7 +195,19 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
         raise ValueError("vertex count must be nonnegative")
     rng = np.random.Generator(np.random.PCG64(seed))
     mat = np.zeros((n, n), dtype=bool)
+    # Row i takes the next n-1-i doubles of one stream, drawn at most
+    # GNP_DRAW_BLOCK at a time: the same doubles as one draw per row.
+    left = n * (n - 1) // 2
+    drawn, at = np.empty(0, dtype=bool), 0
     for i in range(n - 1):
-        mat[i, i + 1 :] = rng.random(n - 1 - i) < p
+        j = i + 1
+        while j < n:
+            if at == drawn.size:
+                size = min(GNP_DRAW_BLOCK, left)
+                drawn, at, left = rng.random(size) < p, 0, left - size
+            take = min(n - j, drawn.size - at)
+            mat[i, j : j + take] = drawn[at : at + take]
+            j += take
+            at += take
     mat |= mat.T
     return Graph._trusted(n, _pack_rows(mat))

@@ -273,64 +273,85 @@ def omega_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> Tagged:
     return _max_clique_core(g.rows, g.n, budget)
 
 
+def _key_scale(n: int, max_deg: int) -> int:
+    """Exponent s of the DSATUR key's tie-break scale 2**-s.
+
+    The tie-break deg*n + (n-1-v) is below n*(D+1) < 2**s, and every key,
+    before or after a bump, lies within D+2 of zero, so it is i * 2**-s for
+    an integer |i| < 2**(s + bit_length(D+2)).  Float64 holds each such
+    value exactly when i has at most 53 bits; requiring at most 52 leaves
+    one bit of headroom.  Larger (n, D) raise ``ValueError``.
+    """
+    s = (n * (max_deg + 1)).bit_length()
+    if s + (max_deg + 2).bit_length() + 1 > 53:
+        raise ValueError(
+            f"DSATUR key exceeds float64 precision at n={n}, maximum degree D={max_deg}"
+        )
+    return s
+
+
 class _SaturationOrder:
     """DSATUR pick order as numpy state, shared by both colouring searches.
 
     The next vertex is the uncoloured one with the most distinct neighbour
     colours, then the highest degree, then the lowest index.  That order is
-    one int64 key per vertex, sat*step + deg*n + (n-1-v) with
-    step = n*(D+1) and D the maximum degree, so a pick is an argmax.
+    one float64 key per vertex, sat + (deg*n + (n-1-v)) * 2**-s, with D the
+    maximum degree and s from ``_key_scale``, so a pick is an argmax and a
+    saturation is the key's integer part.  Every key is a dyadic rational
+    that float64 holds exactly, so adding or subtracting 1 never rounds.
     ``seen[c, w]`` records that some coloured neighbour of w has colour c.
     A smallest free colour is at most D, so D+2 rows hold every colour in
     use plus one that no vertex has.
 
-    Colouring v with c bumps the key of every neighbour of v that had not
-    seen c by one step, coloured neighbours included, and sets v's own key
-    to the sentinel -(D+2)*step.  A coloured vertex takes at most one bump
-    per neighbour, at most D, so even D+1 bumps leave its key below 0 and
-    below every uncoloured key, and the bump needs no mask.  Uncolouring
-    subtracts the same bumps, so undo in LIFO order restores ``key`` and
-    ``seen`` exactly.
+    Colouring v with c adds 1 to the key of every neighbour of v that had
+    not seen c, coloured neighbours included, and sets v's own key to the
+    sentinel -(D+2).  A coloured vertex takes at most one bump per
+    neighbour, at most D, so its key stays at most -2, below every
+    uncoloured key, and the bump needs no mask.  Uncolouring subtracts the
+    same bumps, so undo in LIFO order restores ``key`` and ``seen``
+    exactly.
 
     A step costs four n-length passes (the ``newly`` row, its OR into
-    ``seen``, the bump array and its add into ``key``) plus the argmax of a
-    pick and the free-colour lookup in one column of ``seen``.  Memory: the
-    graph's cached n x n bool matrix, the zeroed (D+2) x n bool table, of
-    which a run writes only the rows of the colours it uses, and one
-    n-length bool row per coloured vertex whose undo is kept.
+    ``seen``, its add into ``key`` and the argmax of a pick) plus, for a
+    vertex that has not seen every colour in use, the free-colour lookup
+    in one column of ``seen``.  Memory: the graph's cached n x n bool
+    matrix, n**2 bytes, the zeroed (D+2) x n bool table, of which a run
+    writes only the rows of the colours it uses, and one n-length bool row
+    per coloured vertex whose undo is kept.
     """
 
     def __init__(self, g: Graph):
         n = g.n
-        self.mat = g.bool_matrix()
         deg = np.fromiter((row.bit_count() for row in g.rows), dtype=np.int64, count=n)
         max_deg = int(deg.max())
-        self.step = n * (max_deg + 1)
-        self.coloured_key = -(max_deg + 2) * self.step
-        self.key = deg * n + np.arange(n - 1, -1, -1, dtype=np.int64)
+        tie = deg * n + np.arange(n - 1, -1, -1, dtype=np.int64)
+        self.key = np.ldexp(tie.astype(np.float64), -_key_scale(n, max_deg))
+        self.coloured_key = float(-(max_deg + 2))
+        self.mat = g.bool_matrix()
         self.seen = np.zeros((max_deg + 2, n), dtype=bool)
 
     def pick(self) -> int:
         return int(self.key.argmax())
 
     def saturation(self, v: int) -> int:
-        return int(self.key[v]) // self.step
+        return int(self.key[v])
 
     def colour(self, v: int, c: int):
         """Colour v with c; returns what ``uncolour`` needs to undo it."""
         key, seen_c = self.key, self.seen[c]
-        old = int(key[v])
+        old = key.item(v)
         key[v] = self.coloured_key
         newly = np.greater(self.mat[v], seen_c)
         seen_c |= newly
-        key += newly * self.step
+        key += newly
         return v, old, newly, seen_c
 
     def uncolour(self, undo) -> None:
         v, old, newly, seen_c = undo
-        self.key -= newly * self.step
+        key = self.key
+        key -= newly
         seen_c ^= newly
-        self.key[v] = old
+        key[v] = old
 
 
 def dsatur_upper(g: Graph) -> tuple[int, tuple[int, ...]]:
@@ -341,23 +362,31 @@ def dsatur_upper(g: Graph) -> tuple[int, tuple[int, ...]]:
     the smallest colour no neighbour has.  The colouring matches, vertex for
     vertex, the set-based loop that the tests keep as a reference.
 
-    A step costs four n-length numpy passes, an argmax and one column read
-    (see ``_SaturationOrder``).  Memory: the graph's cached n x n bool
-    matrix plus a zeroed (D+2) x n bool table, D the maximum degree, of
-    which only the rows of the colours used are written.
+    A step costs four n-length numpy passes, and one column read unless
+    the vertex has seen every colour in use and so takes a new one (see
+    ``_SaturationOrder``).  Memory: the graph's cached n x n bool matrix,
+    n**2 bytes, plus a zeroed (D+2) x n bool table, D the maximum degree,
+    of which only the rows of the colours used are written.  Raises
+    ``ValueError`` where the float64 key cannot be exact (``_key_scale``),
+    which is never below n = 2**17, where the matrix alone takes 17 GB.
     """
     n = g.n
     if n == 0:
         return 0, ()
     order = _SaturationOrder(g)
+    key, seen, colour = order.key, order.seen, order.colour
     color = [-1] * n
     used = 0
     for _ in range(n):
-        v = order.pick()
-        c = int(order.seen[: used + 1, v].argmin())
+        v = int(key.argmax())
+        if key.item(v) >= used:
+            # v has seen every colour in use: the smallest free one is new
+            c = used
+            used += 1
+        else:
+            c = int(seen[:used, v].argmin())
         color[v] = c
-        used = max(used, c + 1)
-        order.colour(v, c)
+        colour(v, c)
     return used, tuple(color)
 
 
@@ -390,24 +419,30 @@ def _try_k_coloring(g: Graph, k: int, budget: list[int]) -> Optional[tuple[int, 
     n = g.n
     color = [-1] * n
     order = _SaturationOrder(g)
+    pick, saturation, colour, uncolour = order.pick, order.saturation, order.colour, order.uncolour
     # frame: [vertex, colours left to try (last first), colours in use
     # before it, undo of its current colour]
     stack: list[list] = []
     used = 0
     while len(stack) < n:
-        v = order.pick()
-        if order.saturation(v) < k:
+        v = pick()
+        sat = saturation(v)
+        if sat < k:
             # allow at most one brand-new color index (class symmetry breaking)
-            limit = min(k, used + 1)
-            taken = order.seen[:limit, v].tolist()
-            untried = [c for c in range(limit - 1, -1, -1) if not taken[c]]
+            if sat >= used:
+                # v has seen every colour in use, so only the new one is left
+                untried = [used]
+            else:
+                limit = min(k, used + 1)
+                taken = order.seen[:limit, v].tolist()
+                untried = [c for c in range(limit - 1, -1, -1) if not taken[c]]
             stack.append([v, untried, used, None])
         # give the top vertex its next colour, backtracking while none is left
         while stack:
             frame = stack[-1]
             v, untried, used, undo = frame
             if undo is not None:
-                order.uncolour(undo)
+                uncolour(undo)
                 color[v] = -1
             if not untried:
                 stack.pop()
@@ -417,8 +452,9 @@ def _try_k_coloring(g: Graph, k: int, budget: list[int]) -> Optional[tuple[int, 
             if budget[0] < 0:
                 return "exceeded"
             color[v] = c
-            frame[3] = order.colour(v, c)
-            used = max(used, c + 1)
+            frame[3] = colour(v, c)
+            if c == used:
+                used += 1
             break
         else:
             return None

@@ -366,6 +366,21 @@ def reference_induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...
     return Graph._trusted(k, rows), tuple(sel)
 
 
+def reference_gen_gnp(n: int, p: float, seed: int) -> Graph:
+    """G(n, p) by one generator call per row, as ``gen_gnp`` drew it before
+    it drew blocks of rows; ``gen_gnp`` must return the same graph."""
+    if not 0.0 <= p <= 1.0:
+        raise ValueError(f"probability p={p} outside [0,1]")
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    mat = np.zeros((n, n), dtype=bool)
+    for i in range(n - 1):
+        mat[i, i + 1 :] = rng.random(n - 1 - i) < p
+    mat |= mat.T
+    return Graph._trusted(n, _pack_rows(mat))
+
+
 def reference_to_graph6(g: Graph) -> str:
     """graph6 encoding one bit per step; ``to_graph6`` must match it byte for byte."""
     out = bytearray(_g6_encode_n(g.n))

@@ -1,8 +1,11 @@
+import hashlib
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
+from cliquesub import graphs
 from cliquesub.graphs import (
     Graph,
     bits,
@@ -12,7 +15,28 @@ from cliquesub.graphs import (
     induced,
     new_graph,
 )
-from conftest import complete, cycle, empty, random_graph, reference_induced
+from conftest import (
+    complete,
+    cycle,
+    empty,
+    random_graph,
+    reference_gen_gnp,
+    reference_induced,
+)
+
+# the benchmark's graphs at seed 0, (n, p) -> sha256 of their rows
+BENCHMARK_GNP_SHA256 = {
+    (1000, 1 - math.exp(-2)): "4658bcccb9abbbb76c73a9b5c5eea75f170270e2a9c5522df2b37aa1a8bd3df7",
+    (2000, 0.95): "fdfb4db1512550e164414a55c5c702db85bc0091ca7d3a9ca60433ce5ba21a99",
+    (3000, 1 - math.exp(-2)): "9f82044664d53bd5337148ee4660fc5a99d7dcfbaf32c9001afcba458c3b6db4",
+}
+
+
+def rows_sha256(g: Graph) -> str:
+    h = hashlib.sha256()
+    for row in g.rows:
+        h.update(row.to_bytes((g.n + 7) // 8, "little"))
+    return h.hexdigest()
 
 
 class TestNewGraph:
@@ -181,6 +205,28 @@ class TestGnp:
     def test_p_out_of_range(self):
         with pytest.raises(ValueError, match="outside"):
             gen_gnp(5, 1.5, 0)
+
+    @staticmethod
+    def assert_matches_reference(sizes, ps, seeds):
+        for n in sizes:
+            for p in ps:
+                for seed in seeds:
+                    assert gen_gnp(n, p, seed).rows == reference_gen_gnp(n, p, seed).rows
+
+    def test_matches_per_row_draws(self):
+        self.assert_matches_reference(range(71), (0, 0.3, 0.5, 1), (0, 1))
+
+    @pytest.mark.parametrize("block", [1, 7, 64])
+    def test_matches_per_row_draws_at_every_block_boundary(self, monkeypatch, block):
+        # blocks shorter than a row, straddling rows and holding several
+        monkeypatch.setattr(graphs, "GNP_DRAW_BLOCK", block)
+        self.assert_matches_reference(range(71), (0.3, 0.5), (2,))
+
+    @pytest.mark.parametrize("n, p", list(BENCHMARK_GNP_SHA256))
+    def test_benchmark_graphs_pinned(self, n, p):
+        g = gen_gnp(n, p, 0)
+        assert g.rows == reference_gen_gnp(n, p, 0).rows
+        assert rows_sha256(g) == BENCHMARK_GNP_SHA256[n, p]
 
 
 class TestGraphBasics:

@@ -12,6 +12,7 @@ from cliquesub.graphs import complement, edge_density, gen_gnp, induced, new_gra
 from cliquesub.oracles import (
     DEFAULT_BUDGET,
     Tagged,
+    _key_scale,
     _max_clique_core,
     _SaturationOrder,
     alpha_exact,
@@ -333,6 +334,23 @@ class TestSaturationOrder:
             g = complete(n)
             vertices = rng.sample(range(n), n)
             self.round_trip(g, self.proper_steps(g, rng, vertices))
+
+    def test_round_trip_at_full_depth(self, rng):
+        # every vertex coloured, so keys climb to their largest saturations
+        # and back; a key scale that is not a power of two rounds here
+        for g in (gen_gnp(300, 0.95, 4), complete(40)):
+            vertices = rng.sample(range(g.n), g.n)
+            self.round_trip(g, self.proper_steps(g, rng, vertices))
+
+    def test_key_scale_is_exact_up_to_its_ceiling(self):
+        assert _key_scale(3000, 2999) == 24
+        assert _key_scale(10**7, 10**4) == 37
+        # a complete graph on 2**17 - 1 vertices is the largest one accepted
+        assert _key_scale(2**17 - 1, 2**17 - 2) == 34
+        with pytest.raises(ValueError, match=r"n=131072, maximum degree D=131071"):
+            _key_scale(2**17, 2**17 - 1)
+        with pytest.raises(ValueError, match="float64"):
+            _key_scale(10**9, 10**4)
 
     def test_centre_of_a_star_takes_every_bump(self):
         # the centre is coloured first, then its D leaves take D distinct
