@@ -21,6 +21,11 @@ __all__ = [
 # doubles per generator call in ``gen_gnp``: a 512 KB temporary
 GNP_DRAW_BLOCK = 1 << 16
 
+# side of the square blocks in which the symmetric-matrix passes walk an
+# n x n matrix: a block and its transposed mirror both stay in cache, where
+# a whole-matrix transpose reads one of them with stride n
+_TILE = 256
+
 
 def bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in ascending order."""
@@ -59,11 +64,11 @@ class Graph:
             if (row >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
         # the matrix is not cached: a caller that never needs it should not
-        # hold n^2 bytes for the check
+        # hold n^2 bytes for the check, which peaks at that one matrix plus
+        # its n^2/8 packed bytes and makes no transposed copy
         mat = _unpack_rows(n, rows)
-        one_way = np.argwhere(mat > mat.T)
-        if one_way.size:
-            u, v = one_way[0]
+        if not _is_symmetric(mat):
+            u, v = np.argwhere(mat > mat.T)[0]
             raise ValueError(f"adjacency not symmetric at ({u},{v})")
         self._set(n, rows)
 
@@ -133,8 +138,31 @@ def _unpack_rows(n: int, rows: Sequence[int]) -> np.ndarray:
     buf = bytearray(len(rows) * nbytes)
     for v, row in enumerate(rows):
         buf[v * nbytes : (v + 1) * nbytes] = row.to_bytes(nbytes, "little")
-    arr = np.frombuffer(bytes(buf), dtype=np.uint8).reshape(len(rows), nbytes)
+    arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
     return np.unpackbits(arr, axis=1, bitorder="little", count=n)
+
+
+def _tile_pairs(n: int) -> Iterator[tuple[tuple[slice, slice], tuple[slice, slice]]]:
+    """Yield the index of each ``_TILE`` x ``_TILE`` block of an n x n matrix
+    on or above the diagonal, with the index of its mirror block."""
+    for lo in range(0, n, _TILE):
+        rows = slice(lo, lo + _TILE)
+        for col in range(lo, n, _TILE):
+            cols = slice(col, col + _TILE)
+            yield (rows, cols), (cols, rows)
+
+
+def _mirror(mat: np.ndarray) -> None:
+    """``mat |= mat.T`` in place, one tile pair at a time: no n x n temporary."""
+    for up, low in _tile_pairs(len(mat)):
+        both = mat[up] | mat[low].T
+        mat[up] = both
+        mat[low] = both.T
+
+
+def _is_symmetric(mat: np.ndarray) -> bool:
+    """Whether ``mat`` equals its transpose, checked one tile pair at a time."""
+    return all(np.array_equal(mat[up], mat[low].T) for up, low in _tile_pairs(len(mat)))
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -188,7 +216,12 @@ def induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
 
 
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
-    """Erdos-Renyi G(n,p); deterministic for a given 64-bit seed."""
+    """Erdos-Renyi G(n,p); deterministic for a given 64-bit seed.
+
+    Fills one n x n bool matrix and mirrors it in place, with no transposed
+    copy: it peaks at the matrix, its packed rows and the draw block, about
+    1.3 n^2 bytes (5 MB) at n = 2000.
+    """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p={p} outside [0,1]")
     if n < 0:
@@ -209,5 +242,5 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
             mat[i, j : j + take] = drawn[at : at + take]
             j += take
             at += take
-    mat |= mat.T
+    _mirror(mat)
     return Graph._trusted(n, _pack_rows(mat))

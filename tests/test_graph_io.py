@@ -61,6 +61,8 @@ class TestGraph6:
         graphs = [random_graph(rng, n) for n in range(71)]
         # the size field grows from 1 to 4 bytes at n = 63
         graphs += [gen_gnp(n, p, n) for n in (62, 63) for p in (0.0, 0.5, 1.0)]
+        # the decoder mirrors its matrix in 256 x 256 tiles
+        graphs += [gen_gnp(n, 0.5, n) for n in (255, 256, 257, 513)]
         residues = {g.n * (g.n - 1) // 2 % 6 for g in graphs}
         # triangular numbers mod 6 take only these values
         assert residues == {n * (n - 1) // 2 % 6 for n in range(12)} == {0, 1, 3, 4}

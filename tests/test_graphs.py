@@ -1,8 +1,10 @@
 import hashlib
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from cliquesub import graphs
@@ -242,10 +244,13 @@ class TestGraphBasics:
             Graph(2, [0b10, 0b00])
 
     def test_asymmetric_rows_rejected_at_any_size(self):
-        rows = [0] * 600
-        rows[0] = 1 << 1
-        with pytest.raises(ValueError, match=r"symmetric at \(0,1\)"):
-            Graph(600, rows)
+        # one-way edges in the first tile and in either block of an
+        # off-diagonal tile pair, named as the whole-matrix check names them
+        for n, u, v in [(600, 0, 1), (700, 300, 650), (700, 650, 300)]:
+            rows = [0] * n
+            rows[u] = 1 << v
+            with pytest.raises(ValueError, match=rf"symmetric at \({u},{v}\)"):
+                Graph(n, rows)
 
     def test_check_leaves_the_matrix_uncached(self):
         g = gen_gnp(600, 0.5, 1)
@@ -261,3 +266,37 @@ class TestGraphBasics:
 
     def test_hashable(self):
         assert len({complete(3), complete(3), empty(3)}) == 2
+
+    def test_construction_makes_no_transposed_copy(self):
+        n = 2000
+        tracemalloc.start()
+        try:
+            g = gen_gnp(n, 0.5, 2)
+            gen_peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            Graph(n, g.rows)
+            check_peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a whole-matrix transpose would add a second n x n matrix: 2 n^2
+        assert gen_peak < 1.5 * n * n
+        assert check_peak < 1.5 * n * n
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 511, 513, 700])
+def test_tile_passes_equal_whole_matrix_ops(n):
+    rand = np.random.default_rng(n).random((n, n)) < 0.3
+    upper = np.triu(rand, 1)
+    sym = rand | rand.T
+    cases = [rand, upper, upper.T, sym]
+    # one entry flipped in the last row or column of tiles (a partial one
+    # unless 256 divides n), on each side of the diagonal
+    for u, v in [(n - 1, 0), (0, n - 1)] if n >= 2 else []:
+        flipped = sym.copy()
+        flipped[u, v] ^= True
+        cases.append(flipped)
+    for m in cases:
+        assert graphs._is_symmetric(m) == np.array_equal(m, m.T)
+        mirrored = m.copy()
+        graphs._mirror(mirrored)
+        assert np.array_equal(mirrored, m | m.T)
