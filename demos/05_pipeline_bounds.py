@@ -1,49 +1,49 @@
 #!/usr/bin/env python3
-"""The composed pipeline, in both of its moods.
+"""The composed pipeline, next to the paper's hypotheses.
 
-Paper mode checks the hypotheses of the proven statements: at desk scale
-it refuses, naming the failed hypothesis.  Practical mode checks only the
-extraction gate, runs the shared extract and build steps and hands back a
-verified certificate.  The pure-arithmetic calculators evaluate the two-regime
-lower-bound formula and replay the ratio-bound induction step, with the
-paper's constants c1, c2 and C fixed in ``cliquesub.pipeline``.
+The hypotheses of the proven statements are a pure report on (n, m, alpha):
+at desk scale they fail, and the report names which.  The pipeline checks
+only the extraction gate, runs the shared extract and build steps and hands
+back a verified certificate.  The pure-arithmetic calculators evaluate the
+two-regime lower-bound formula and replay the ratio-bound induction step,
+with the paper's constants c1, c2 and C fixed in ``cliquesub.pipeline``.
 """
 
 from cliquesub import (
-    PipelineParams,
-    PreconditionRefusal,
     alpha_exact,
     check_ratio_induction_step,
     gen_gnp,
+    paper_hypotheses,
     sigma_lower_auto,
     sigma_lower_dense,
     subdivision_bound_dispatch,
 )
 
 print("=" * 64)
-print("  paper mode refuses at desk scale")
+print("  the paper's hypotheses fail at desk scale")
 print("=" * 64)
 
 g = gen_gnp(2000, 0.95, 1)
 alpha = alpha_exact(g, 500_000)
-try:
-    sigma_lower_dense(g, alpha, PipelineParams.paper())
-except PreconditionRefusal as exc:
-    print(f"\ndense, paper mode: {exc}")
+hypotheses = paper_hypotheses(g.n, g.m, alpha.value if alpha.exact else None)
+for case in ("dense", "sparse"):
+    print(f"\n{case} case:")
+    for entry in hypotheses[case]:
+        print(f"  {entry['requirement']:20s} holds={entry['holds']}  ({entry['detail']})")
 
 print()
 print("=" * 64)
-print("  practical mode constructs")
+print("  the pipeline constructs")
 print("=" * 64)
 
-report = sigma_lower_dense(g, alpha, PipelineParams.practical(), seed=0)
+report = sigma_lower_dense(g, alpha, seed=0)
 print(f"\nG(2000, 0.95): certified subdivision order {report.claimed_sigma_lower}")
 print("transcript:")
 for entry in report.transcript:
     print(f"  {entry}")
 
 g_sparse = gen_gnp(700, 0.35, 2)
-report = sigma_lower_auto(g_sparse, PipelineParams.practical(alpha_budget=150_000))
+report = sigma_lower_auto(g_sparse, alpha_budget=150_000)
 print(f"\nG(700, 0.35) routed via {report.transcript[0]['route']}: "
       f"order {report.claimed_sigma_lower}, flags {report.flags}")
 

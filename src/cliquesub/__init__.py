@@ -55,8 +55,8 @@ from .pipeline import (
     BoundReport,
     FBound,
     InductionStepReport,
-    PipelineParams,
     check_ratio_induction_step,
+    paper_hypotheses,
     sigma_lower_auto,
     sigma_lower_dense,
     sigma_lower_density_cited,

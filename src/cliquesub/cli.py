@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -20,9 +21,9 @@ from .graph_io import ParseError, read_graph, write_graph
 from .graphs import gen_gnp
 from .oracles import graph_stats
 from .pipeline import (
-    PipelineParams,
     PreconditionRefusal,
     check_ratio_induction_step,
+    paper_hypotheses,
     sigma_lower_auto,
     sigma_lower_dense,
     sigma_lower_sparse,
@@ -57,7 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pipe.add_argument("graph", type=Path)
     pipe.add_argument("--format", choices=["edge-list", "graph6"], default="edge-list")
     pipe.add_argument("--case", choices=["dense", "sparse", "auto"], default="auto")
-    pipe.add_argument("--mode", choices=["paper", "practical"], default="practical")
     pipe.add_argument("--seed", type=int, default=0)
     pipe.add_argument("--budget-nodes", type=int, default=2_000_000)
     pipe.add_argument("--out", type=Path, help="write the report JSON here")
@@ -122,19 +122,21 @@ def cli_main(argv: list[str] | None = None) -> int:
                 payload["chi_lower"] = st.chi.chi_lower
                 payload["chi_upper"] = st.chi.chi_upper
                 payload["chi_tag"] = st.chi.tag
+            alpha = st.alpha.value if st.alpha.exact else None
+            payload["paper_hypotheses"] = paper_hypotheses(st.n, st.m, alpha)
             print(json.dumps(payload, indent=1))
             return 0
 
         if args.command == "pipeline":
             g = read_graph(args.graph, args.format)
-            params = PipelineParams(mode=args.mode, alpha_budget=args.budget_nodes)
+            budget = args.budget_nodes
             try:
                 if args.case == "dense":
-                    report = sigma_lower_dense(g, None, params, args.seed)
+                    report = sigma_lower_dense(g, None, args.seed, alpha_budget=budget)
                 elif args.case == "sparse":
-                    report = sigma_lower_sparse(g, params, 0, args.seed)
+                    report = sigma_lower_sparse(g, 0, args.seed, alpha_budget=budget)
                 else:
-                    report = sigma_lower_auto(g, params, args.seed)
+                    report = sigma_lower_auto(g, args.seed, alpha_budget=budget)
             except PreconditionRefusal as exc:
                 print(f"refused: {exc}", file=sys.stderr)
                 return 2
@@ -176,6 +178,8 @@ def cli_main(argv: list[str] | None = None) -> int:
 
         if args.command == "bounds":
             if args.alpha is not None:
+                if not (math.isfinite(args.n) and args.n.is_integer()):
+                    raise ValueError(f"--n must be a whole number with --alpha, not {args.n}")
                 fb = subdivision_bound_dispatch(int(args.n), args.alpha)
                 print(f"regime: {fb.regime}")
                 print(f"value: {fb.value:.6g}")

@@ -36,7 +36,7 @@ DRC_DENSITY_REQUIREMENT = "d^2 * n >= 1600"
 
 
 class PreconditionRefusal(ValueError):
-    """A mode-gated hypothesis failed; the message names the inequality."""
+    """An extraction precondition failed; the message names the inequality."""
 
     def __init__(self, requirement: str, detail: str = ""):
         self.requirement = requirement

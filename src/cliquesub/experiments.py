@@ -6,8 +6,8 @@ Each (n, seed) cell produces one record.  A sound chromatic lower bound
 needs the exact independence number (ceil(n/alpha)); when the oracle budget
 runs out the record falls back to a greedy clique, which is always sound,
 and tags itself heuristic.  A cell searches for alpha once, within
-``SweepBudgets.alpha_nodes``, and hands the result to the practical-mode
-pipeline, whose alpha budget is the same.  A cell searches for neither the
+``SweepBudgets.alpha_nodes``, and hands the result to the pipeline, whose
+alpha budget is the same.  A cell searches for neither the
 clique number nor a subdivision upper bound: a record carries one
 (``sigma_upper_t``, and with it ``ratio_lower``) only when the certified-gap
 search, which computes the clique-counting certificate from an exact clique
@@ -34,7 +34,7 @@ from .oracles import (
     sigma_exact_value,
     sigma_upper_cert,
 )
-from .pipeline import PipelineParams, sigma_lower_auto
+from .pipeline import sigma_lower_auto
 
 __all__ = [
     "ExperimentRecord",
@@ -101,8 +101,8 @@ def _cell(
     """The record of G(n, p, seed).  ``alpha``, when given, is this graph's
     ``alpha_exact`` result within ``budgets.alpha_nodes``; ``sigma_upper``
     is a subdivision upper certificate for this graph, the only source of
-    ``sigma_upper_t``.  The pipeline runs in practical mode with the same
-    alpha budget, so it takes this alpha as its own."""
+    ``sigma_upper_t``.  The pipeline runs with the same alpha budget, so it
+    takes this alpha as its own."""
     g = gen_gnp(n, p, seed)
     chi_upper, _ = dsatur_upper(g)
     if alpha is None:
@@ -116,8 +116,7 @@ def _cell(
         chi_lower = max(1, greedy_clique_lower(g).value)
         chi_tag = "heuristic"
     sigma_upper_t = None if sigma_upper is None else sigma_upper.t
-    params = PipelineParams.practical(alpha_budget=budgets.alpha_nodes)
-    report = sigma_lower_auto(g, params, seed, alpha)
+    report = sigma_lower_auto(g, seed, alpha, alpha_budget=budgets.alpha_nodes)
     if report.certificate is not None and report.certificate.verified:
         sigma_lower = max(1, report.certificate.order)
     else:

@@ -9,13 +9,11 @@ step (dependent random choice: a partition, then a hub) and one build step
 (a ladder of greedy length-4 builds, each verified), and every fallback is
 the same verified single-vertex certificate.
 
-Paper mode is one gate, ``_paper_refusal``, that each public route calls
-at entry: it raises the first of the paper's hypotheses that the graph
-fails.  With the paper's density constant ``C_DENSITY`` that refuses every
-nonempty graph that fits in memory, so past the gate the routes know only
-practical mode, which emits machine-checked certificates for whatever
-order it actually achieves (the dense route keeps its extraction gate
-d^2*n >= 1600).
+The dense route keeps its extraction gate d^2*n >= 1600, and both emit
+machine-checked certificates for whatever order they actually achieve.
+The paper's own hypotheses, which with its density constant ``C_DENSITY``
+fail on every nonempty graph that fits in memory, are a pure report on
+(n, m, alpha): ``paper_hypotheses``.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ from .dense import greedy_shrink_trace
 from .drc import DRC_DENSITY_REQUIREMENT, PreconditionRefusal, drc_partition, drc_select
 from .esfilter import es_filter
 from .graphs import Graph, bits, edge_density, induced, vertex_mask
-from .oracles import Tagged, alpha_exact
+from .oracles import DEFAULT_BUDGET, Tagged, alpha_exact
 from .subdivision import (
     BuildFailure,
     SubdivisionCertificate,
@@ -40,7 +38,6 @@ from .subdivision import (
 )
 
 __all__ = [
-    "PipelineParams",
     "BoundReport",
     "PreconditionRefusal",
     "sigma_lower_dense",
@@ -48,6 +45,7 @@ __all__ = [
     "sigma_lower_sparse",
     "sigma_lower_auto",
     "subdivision_bound_dispatch",
+    "paper_hypotheses",
     "FBound",
     "check_ratio_induction_step",
     "InductionStepReport",
@@ -77,28 +75,6 @@ BUILDER_RETRIES = 30
 REQ_DENSE_N = "n >= 10^14 * c^-5"
 REQ_SPARSE_ALPHA = "alpha <= n/2"
 REQ_SPARSE_D = "d <= c"
-
-
-@dataclass(frozen=True)
-class PipelineParams:
-    """The mode switch and the node budget of every alpha search.
-
-    Paper mode is one hypothesis gate at the entry of each route, and its
-    refusal covers every nonempty graph that fits in memory; practical mode
-    runs the extraction and build.  Every other constant of the routes and
-    of the pure-arithmetic calculators is a module constant.
-    """
-
-    mode: str = "practical"
-    alpha_budget: int = 2_000_000
-
-    @classmethod
-    def paper(cls, **kw) -> "PipelineParams":
-        return cls(mode="paper", **kw)
-
-    @classmethod
-    def practical(cls, **kw) -> "PipelineParams":
-        return cls(mode="practical", **kw)
 
 
 @dataclass
@@ -240,21 +216,19 @@ def _build(
 def sigma_lower_dense(
     g: Graph,
     alpha: Tagged | int | None,
-    params: PipelineParams,
     seed: int = 0,
+    *,
+    alpha_budget: int = DEFAULT_BUDGET,
 ) -> BoundReport:
     """Dense-case constructive bound: extract, then build.
 
-    Paper mode refuses every nonempty graph (see ``_paper_refusal``).  A
-    complete graph is its own subdivision; otherwise the extraction gate
+    A complete graph is its own subdivision; otherwise the extraction gate
     d^2*n >= 1600 must hold, and the report carries the best certificate
     the greedy builder achieves.
 
-    ``alpha`` of None is searched for here with ``params.alpha_budget``,
-    after the gate: a refusal searches for no alpha.
+    ``alpha`` of None is searched for here within ``alpha_budget``, after
+    the gate: a refusal searches for no alpha.
     """
-    if params.mode == "paper" and g.n > 0:
-        raise _paper_refusal(g, "dense", alpha, params.alpha_budget)
     n = g.n
     d = edge_density(g)
     complete = 2 * g.m == n * (n - 1)
@@ -265,12 +239,11 @@ def sigma_lower_dense(
             DRC_DENSITY_REQUIREMENT, f"d^2*n = {float(d * d * n):.6g}"
         )
     if alpha is None:
-        alpha = alpha_exact(g, params.alpha_budget)
+        alpha = alpha_exact(g, alpha_budget)
     a_val, a_exact = _alpha_value(alpha)
     flags = [] if a_exact else ["heuristic-alpha"]
     transcript: list[dict] = [
-        {"step": "dense-entry", "n": n, "m": g.m, "alpha": a_val, "seed": seed,
-         "mode": params.mode}
+        {"step": "dense-entry", "n": n, "m": g.m, "alpha": a_val, "seed": seed}
     ]
     if n == 0:
         return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
@@ -292,84 +265,37 @@ def _degree_filter(g: Graph) -> list[int]:
     return [v for v in range(n) if g.degree(v) * (n - 1) <= 4 * m]
 
 
-def _clique_cover_size(g: Graph) -> int:
-    """Number of parts of a greedy partition of the vertices into cliques:
-    an upper bound on alpha, as an independent set meets each part once at
-    most.  Each part grows from the lowest free vertex."""
-    free = g.full_mask()
-    parts = 0
-    while free:
-        cand = free
-        while cand:
-            low = cand & -cand
-            free ^= low
-            cand &= g.rows[low.bit_length() - 1]
-        parts += 1
-    return parts
-
-
-def _paper_refusal(
-    g: Graph, route: str, alpha: Tagged | int | None, budget: int
-) -> PreconditionRefusal:
-    """The first paper hypothesis that nonempty ``g`` fails on ``route``
-    ("dense", "sparse", or "auto": dense when ``g`` is complete).
-
-    With c = ``C_DENSITY`` the dense case needs n >= 10^14*c^-5, d >= c and
-    alpha <= 2*log(n); the sparse case alpha <= n/2, d <= c and
-    d*alpha*log(1/d) <= log(n)/100.  Only the first of each is evaluated:
-    n >= 10^114 fails on every graph in memory, and alpha <= n/2 needs an
-    edge, which with n < 10^10 makes d > c.  A None ``alpha`` is searched
-    for, within ``budget``, only when a greedy clique partition cannot show
-    alpha <= n/2.
-    """
-    n = g.n
-    if route == "auto":
-        route = "dense" if 2 * g.m == n * (n - 1) else "sparse"
-    if route == "dense":
-        return PreconditionRefusal(REQ_DENSE_N, f"n = {n}")
-    if alpha is None and 2 * _clique_cover_size(g) > n:
-        alpha = alpha_exact(g, budget)
-    if alpha is not None:
-        a_val, _ = _alpha_value(alpha)
-        if 2 * a_val > n:
-            return PreconditionRefusal(REQ_SPARSE_ALPHA, f"alpha = {a_val}, n = {n}")
-    return PreconditionRefusal(REQ_SPARSE_D, f"d = {float(edge_density(g)):.6g}")
-
-
 def sigma_lower_sparse(
     g: Graph,
-    params: PipelineParams,
     depth: int = 0,
     seed: int = 0,
     alpha: Optional[Tagged] = None,
+    *,
+    alpha_budget: int = DEFAULT_BUDGET,
 ) -> BoundReport:
     """Sparse-case bound: degree filter, independent set, restriction, then
     a recursion when the restricted subgraph loses a density factor 10, or
     else extract, independence-filter and build.
 
     Mirrors the proof's case analysis; every branch decision lands in the
-    transcript.  Paper mode refuses every nonempty graph (see
-    ``_paper_refusal``).
+    transcript.
 
-    ``alpha``, when given, must equal ``alpha_exact(g, params.alpha_budget)``
+    ``alpha``, when given, must equal ``alpha_exact(g, alpha_budget)``
     (value, witness, tag and nodes); it is searched for here otherwise.
     When the degree filter keeps every vertex, the filtered graph is g and
     this result also serves as its independent set.
     """
-    if params.mode == "paper" and g.n > 0:
-        raise _paper_refusal(g, "sparse", alpha, params.alpha_budget)
     n, m = g.n, g.m
     d = edge_density(g)
     transcript: list[dict] = [
-        {"step": "sparse-entry", "depth": depth, "n": n, "m": m, "seed": seed,
-         "mode": params.mode}
+        {"step": "sparse-entry", "depth": depth, "n": n, "m": m, "seed": seed}
     ]
     flags: list[str] = []
     if n == 0:
         return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
 
     if alpha is None:
-        alpha = alpha_exact(g, params.alpha_budget)
+        alpha = alpha_exact(g, alpha_budget)
     a_val = alpha.value
     if not alpha.exact:
         flags.append("heuristic-alpha")
@@ -394,7 +320,7 @@ def sigma_lower_sparse(
         i_local, map_prime = alpha, v_prime
     else:
         g_prime, map_prime = induced(g, v_prime)
-        i_local = alpha_exact(g_prime, params.alpha_budget)
+        i_local = alpha_exact(g_prime, alpha_budget)
     if not i_local.exact:
         flags.append("heuristic-independent-set")
     i_labels = tuple(sorted(map_prime[v] for v in i_local.witness))
@@ -426,7 +352,7 @@ def sigma_lower_sparse(
     if 10 * d_sub <= d:
         # recursion on the strictly smaller filtered subgraph
         assert g_sub.n <= n - i_size < n
-        child = sigma_lower_sparse(g_sub, params, depth + 1, seed + 1)
+        child = sigma_lower_sparse(g_sub, depth + 1, seed + 1, alpha_budget=alpha_budget)
         transcript.append({"step": "case", "name": "density-drop-recursion"})
         transcript.extend(child.transcript)
         cert = child.certificate
@@ -478,30 +404,30 @@ def sigma_lower_sparse(
 
 
 def sigma_lower_auto(
-    g: Graph, params: PipelineParams, seed: int = 0, alpha: Optional[Tagged] = None
+    g: Graph,
+    seed: int = 0,
+    alpha: Optional[Tagged] = None,
+    *,
+    alpha_budget: int = DEFAULT_BUDGET,
 ) -> BoundReport:
     """Dispatch: dense extraction when its gate holds, sparse otherwise.
 
-    ``alpha``, when given, must equal ``alpha_exact(g, params.alpha_budget)``
+    ``alpha``, when given, must equal ``alpha_exact(g, alpha_budget)``
     (value, witness, tag and nodes); it is searched for here otherwise, and
-    either way handed to the route taken.  Paper mode refuses every
-    nonempty graph as the dense route on a complete graph and as the sparse
-    route otherwise (see ``_paper_refusal``).
+    either way handed to the route taken.
     """
-    if params.mode == "paper" and g.n > 0:
-        raise _paper_refusal(g, "auto", alpha, params.alpha_budget)
     if g.n == 0:
         return BoundReport(0, PROV_TRIVIAL)
     if alpha is None:
-        alpha = alpha_exact(g, params.alpha_budget)
+        alpha = alpha_exact(g, alpha_budget)
     if alpha.exact and alpha.value <= 1:
-        return sigma_lower_dense(g, alpha, params, seed)
+        return sigma_lower_dense(g, alpha, seed)
     d = edge_density(g)
     if d * d * g.n >= 1600:
-        report = sigma_lower_dense(g, alpha, params, seed)
+        report = sigma_lower_dense(g, alpha, seed)
         report.transcript.insert(0, {"step": "auto", "route": "dense"})
         return report
-    report = sigma_lower_sparse(g, params, 0, seed, alpha)
+    report = sigma_lower_sparse(g, 0, seed, alpha, alpha_budget=alpha_budget)
     report.transcript.insert(0, {"step": "auto", "route": "sparse"})
     return report
 
@@ -542,6 +468,36 @@ def subdivision_bound_dispatch(n: int, alpha: int) -> FBound:
         return FBound("part-1", part1, part1, part2, a)
     assert part2 is not None
     return FBound("part-2", part2, part1, part2, a)
+
+
+def paper_hypotheses(n: int, m: int, alpha: Optional[int] = None) -> dict[str, list[dict]]:
+    """The paper's hypotheses on a graph of n vertices, m edges and
+    independence number ``alpha``, per case: "dense", "sparse", and "auto"
+    (the dense case exactly when the graph is complete).
+
+    Each entry is a requirement, its detail and whether it ``holds``: True,
+    False, or None when it needs an ``alpha`` that is not given.  With c =
+    ``C_DENSITY`` the dense case needs n >= 10^14*c^-5, d >= c and
+    alpha <= 2*log(n); the sparse case alpha <= n/2, d <= c and
+    d*alpha*log(1/d) <= log(n)/100.  The report stops at n >= 10^114, which
+    fails on every graph in memory, and at d <= c, which fails on every one
+    with an edge and n < 10^10.  Pure arithmetic: no alpha is searched for.
+    """
+    if n < 0 or not 0 <= m <= n * (n - 1) // 2 or not 0 <= (alpha or 0) <= n:
+        raise ValueError(f"no graph has n={n}, m={m} and alpha={alpha}")
+    d = Fraction(m, n * (n - 1) // 2) if n > 1 else Fraction(0)
+    dense = [
+        {"requirement": REQ_DENSE_N, "detail": f"n = {n}", "holds": n >= 1e14 * C_DENSITY**-5}
+    ]
+    sparse = [
+        {
+            "requirement": REQ_SPARSE_ALPHA,
+            "detail": f"alpha = {'unknown' if alpha is None else alpha}, n = {n}",
+            "holds": None if alpha is None else 2 * alpha <= n,
+        },
+        {"requirement": REQ_SPARSE_D, "detail": f"d = {float(d):.6g}", "holds": d <= C_DENSITY},
+    ]
+    return {"dense": dense, "sparse": sparse, "auto": dense if 2 * m == n * (n - 1) else sparse}
 
 
 @dataclass(frozen=True)

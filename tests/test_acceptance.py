@@ -36,7 +36,7 @@ from cliquesub.oracles import (
     sigma_exact_tiny,
     sigma_exact_value,
 )
-from cliquesub.pipeline import PipelineParams, sigma_lower_dense, sigma_lower_sparse
+from cliquesub.pipeline import sigma_lower_dense, sigma_lower_sparse
 from cliquesub.subdivision import (
     BuildFailure,
     SubdivisionCertificate,
@@ -271,12 +271,11 @@ def test_criterion_8_mode_fidelity():
         n, m_at = 1681, 1_377_600
         assert 4 * m_at**2 == 1600 * n * (n - 1) ** 2
         g_at = new_graph(n, _lex_prefix_edges(n, m_at))
-        params = PipelineParams.practical()
-        rep = sigma_lower_dense(g_at, 2, params, seed=0)
+        rep = sigma_lower_dense(g_at, 2, seed=0)
         assert rep.claimed_sigma_lower >= 1
         g_below = new_graph(n, _lex_prefix_edges(n, m_at - 1))
         with pytest.raises(PreconditionRefusal, match="1600"):
-            sigma_lower_dense(g_below, 2, params, seed=0)
+            sigma_lower_dense(g_below, 2, seed=0)
 
         # the same gate inside the raw extraction entry point, paper mode
         k1600 = new_graph(1600, _lex_prefix_edges(1600, 1600 * 1599 // 2))
@@ -291,21 +290,21 @@ def test_criterion_8_mode_fidelity():
         from test_pipeline import cocktail_party, triple_free_complement
 
         g2 = cocktail_party(16)
-        rep = sigma_lower_sparse(g2, params)
+        rep = sigma_lower_sparse(g2)
         names = [e.get("name") for e in rep.transcript if "name" in e]
         assert "alpha > n/16" not in names
         g3 = triple_free_complement()
-        rep = sigma_lower_sparse(g3, params)
+        rep = sigma_lower_sparse(g3)
         names = [e.get("name") for e in rep.transcript if "name" in e]
         assert "alpha > n/16" in names
 
         # density boundary d = n^(-1/4): 16 vertices, 60 vs 59 edges
         from test_pipeline import lex_prefix_graph
 
-        rep = sigma_lower_sparse(lex_prefix_graph(16, 59), params)
+        rep = sigma_lower_sparse(lex_prefix_graph(16, 59))
         names = [e.get("name") for e in rep.transcript if "name" in e]
         assert "d < n^(-1/4)" in names
-        rep = sigma_lower_sparse(lex_prefix_graph(16, 60), params)
+        rep = sigma_lower_sparse(lex_prefix_graph(16, 60))
         names = [e.get("name") for e in rep.transcript if "name" in e]
         assert "d < n^(-1/4)" not in names
 

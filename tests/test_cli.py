@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cliquesub import cli, experiments, pipeline
+from cliquesub import experiments, pipeline
 from cliquesub.cli import cli_main
 from cliquesub.graph_io import read_graph, write_graph
 from cliquesub.oracles import alpha_exact
@@ -43,6 +43,21 @@ class TestStats:
         data = json.loads(capsys.readouterr().out)
         assert (data["alpha"], data["omega"], data["dsatur"]) == (2, 2, 3)
         assert data["chi_lower"] == data["chi_upper"] == 3
+        hypotheses = data["paper_hypotheses"]
+        assert [e["holds"] for e in hypotheses["sparse"]] == [True, False]
+        assert hypotheses["sparse"][0]["detail"] == "alpha = 2, n = 5"
+        assert hypotheses["auto"] == hypotheses["sparse"]
+
+    def test_inexact_alpha_is_reported_unknown(self, tmp_path, capsys):
+        p = tmp_path / "g.txt"
+        run("gen", "--n", "40", "--p", "0.3", "--out", str(p))
+        capsys.readouterr()
+        assert run("stats", str(p), "--budget-nodes", "1") == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["alpha_tag"] != "exact"
+        alpha_entry, d_entry = data["paper_hypotheses"]["sparse"]
+        assert alpha_entry["holds"] is None and alpha_entry["detail"] == "alpha = unknown, n = 40"
+        assert d_entry["requirement"] == "d <= c" and d_entry["holds"] is False
 
     def test_missing_file(self, tmp_path, capsys):
         assert run("stats", str(tmp_path / "nope.txt")) == 2
@@ -104,32 +119,6 @@ class TestPipelineVerify:
         assert run("verify", str(gpath), str(cert_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
-
-    def test_paper_mode_refusal_is_input_error(self, tmp_path, capsys):
-        gpath = tmp_path / "g.txt"
-        run("gen", "--n", "100", "--p", "0.9", "--seed", "1", "--out", str(gpath))
-        assert run("pipeline", str(gpath), "--case", "dense", "--mode", "paper") == 2
-        assert "refused" in capsys.readouterr().err
-
-    def test_paper_dense_refusal_searches_no_alpha(self, tmp_path, capsys, monkeypatch):
-        # the refusal on n needs no alpha, so none is searched for first
-        calls = []
-
-        def counted(g, *args):
-            calls.append(g.n)
-            raise AssertionError("alpha searched before a refusal that needs none")
-
-        monkeypatch.setattr(cli, "alpha_exact", counted, raising=False)
-        monkeypatch.setattr(pipeline, "alpha_exact", counted)
-        gpath = tmp_path / "g.g6"
-        run("gen", "--n", "300", "--p", "0.86", "--format", "graph6", "--out", str(gpath))
-        capsys.readouterr()
-        argv = ("pipeline", str(gpath), "--format", "graph6", "--case", "dense", "--mode", "paper")
-        assert run(*argv) == 2
-        assert calls == []
-        assert capsys.readouterr().err == (
-            f"refused: hypothesis not met: {pipeline.REQ_DENSE_N} (n = 300)\n"
-        )
 
     def test_practical_dense_refusal_searches_no_alpha(self, tmp_path, capsys, monkeypatch):
         # the gate d^2*n >= 1600 reads only n and m, so it refuses first
@@ -213,6 +202,13 @@ class TestBounds:
 
     def test_nothing_to_do(self, capsys):
         assert run("bounds", "--n", "100") == 2
+
+    @pytest.mark.parametrize("n", ["inf", "1e400", "nan", "10.7"])
+    def test_dispatch_needs_a_whole_finite_n(self, n, capsys):
+        assert run("bounds", "--n", n, "--alpha", "3") == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --n must be a whole number")
 
 
 class TestUsage:

@@ -20,7 +20,7 @@ from cliquesub.drc import (
 )
 from cliquesub.experiments import OPTIMAL_P
 from cliquesub.graphs import Graph, _pack_rows, edge_density, gen_gnp, new_graph
-from cliquesub.pipeline import PipelineParams, sigma_lower_auto
+from cliquesub.pipeline import sigma_lower_auto
 from conftest import complete, cycle, empty, random_graph, reference_drc_select
 
 
@@ -162,7 +162,7 @@ class TestSelect:
         # sampled 100 pairs of U
         calls = self._count_path_calls(monkeypatch)
         g = gen_gnp(1000, OPTIMAL_P, 56)
-        report = sigma_lower_auto(g, PipelineParams.practical(), 56)
+        report = sigma_lower_auto(g, 56)
         (hub,) = [step for step in report.transcript if step["step"] == "hub"]
         assert hub["u_size"] >= 2 and hub["path_bound"] is None
         assert calls == []

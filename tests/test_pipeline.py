@@ -17,9 +17,9 @@ from cliquesub.pipeline import (
     REQ_SPARSE_ALPHA,
     REQ_SPARSE_D,
     BoundReport,
-    PipelineParams,
     PreconditionRefusal,
     check_ratio_induction_step,
+    paper_hypotheses,
     sigma_lower_auto,
     sigma_lower_dense,
     sigma_lower_density_cited,
@@ -96,45 +96,42 @@ def triple_free_complement(n: int = 32):
     return new_graph(n, edges)
 
 
+def first_failing(entries: list[dict]) -> tuple[str, str]:
+    """The requirement of the first hypothesis that fails, with the message
+    a refusal on it gives."""
+    entry = next(e for e in entries if e["holds"] is False)
+    req = entry["requirement"]
+    return req, f"hypothesis not met: {req} ({entry['detail']})"
+
+
 @pytest.fixture(scope="module")
 def route_reports():
     """(graph, report) on the frozen regression seeds, one per route."""
     sparse_g, dense_g = gen_gnp(900, 0.4, 2), gen_gnp(1800, 0.98, 11)
     recursion_g = hub_periphery_graph()
-    practical = PipelineParams.practical
     return {
-        "sparse": (
-            sparse_g,
-            sigma_lower_sparse(sparse_g, practical(alpha_budget=120_000), seed=1),
-        ),
-        "recursion": (recursion_g, sigma_lower_sparse(recursion_g, practical())),
-        "dense": (
-            dense_g,
-            sigma_lower_dense(dense_g, alpha_exact(dense_g, 500_000), practical(), seed=5),
-        ),
+        "sparse": (sparse_g, sigma_lower_sparse(sparse_g, seed=1, alpha_budget=120_000)),
+        "recursion": (recursion_g, sigma_lower_sparse(recursion_g)),
+        "dense": (dense_g, sigma_lower_dense(dense_g, alpha_exact(dense_g, 500_000), seed=5)),
     }
 
 
 class TestDense:
     def test_paper_mode_refuses_small_n(self):
         g = gen_gnp(300, 0.9, 1)
-        with pytest.raises(PreconditionRefusal, match="10\\^14"):
-            sigma_lower_dense(g, 3, PipelineParams.paper())
-        try:
-            sigma_lower_dense(g, 3, PipelineParams.paper())
-        except PreconditionRefusal as exc:
-            assert exc.requirement == REQ_DENSE_N
+        dense = paper_hypotheses(g.n, g.m, 3)["dense"]
+        assert dense == [{"requirement": REQ_DENSE_N, "detail": "n = 300", "holds": False}]
 
     def test_clique_shortcut(self):
         g = complete(80)
-        rep = sigma_lower_dense(g, 1, PipelineParams.practical())
+        rep = sigma_lower_dense(g, 1)
         assert rep.claimed_sigma_lower == 80
         assert rep.certificate.verified and rep.certificate.order == 80
 
     def test_practical_gate(self):
         g = gen_gnp(200, 0.5, 1)  # d^2*n ~ 50, far below the gate
         with pytest.raises(PreconditionRefusal, match="1600"):
-            sigma_lower_dense(g, alpha_exact(g), PipelineParams.practical())
+            sigma_lower_dense(g, alpha_exact(g))
 
     def test_practical_gate_refuses_before_alpha(self, monkeypatch):
         calls = []
@@ -145,10 +142,10 @@ class TestDense:
 
         monkeypatch.setattr(pipeline, "alpha_exact", counted)
         with pytest.raises(PreconditionRefusal, match="1600"):
-            sigma_lower_dense(gen_gnp(200, 0.5, 1), None, PipelineParams.practical())
+            sigma_lower_dense(gen_gnp(200, 0.5, 1), None)
         assert calls == []
         # a complete graph below the gate still takes the clique shortcut
-        rep = sigma_lower_dense(complete(30), None, PipelineParams.practical())
+        rep = sigma_lower_dense(complete(30), None)
         assert rep.claimed_sigma_lower == 30 and calls == [30]
 
     def test_practical_end_to_end_regression(self, route_reports):
@@ -167,8 +164,8 @@ class TestDense:
     def test_deterministic_reports(self):
         g = gen_gnp(1800, 0.98, 11)
         alpha = alpha_exact(g, 500_000)
-        a = sigma_lower_dense(g, alpha, PipelineParams.practical(), seed=5)
-        b = sigma_lower_dense(g, alpha, PipelineParams.practical(), seed=5)
+        a = sigma_lower_dense(g, alpha, seed=5)
+        b = sigma_lower_dense(g, alpha, seed=5)
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
@@ -203,7 +200,7 @@ class TestDensityCited:
 class TestSparseBranches:
     def test_below_quarter_root_density_is_trivial(self):
         g = lex_prefix_graph(16, 59)  # d^4*n just below 1
-        rep = sigma_lower_sparse(g, PipelineParams.practical())
+        rep = sigma_lower_sparse(g)
         assert rep.claimed_sigma_lower == 1
         assert any(
             e.get("name") == "d < n^(-1/4)" for e in rep.transcript if "name" in e
@@ -211,21 +208,21 @@ class TestSparseBranches:
 
     def test_at_quarter_root_density_proceeds(self):
         g = lex_prefix_graph(16, 60)  # d^4*n = 1 exactly
-        rep = sigma_lower_sparse(g, PipelineParams.practical())
+        rep = sigma_lower_sparse(g)
         names = [e.get("name") for e in rep.transcript if "name" in e]
         assert "d < n^(-1/4)" not in names
 
     def test_alpha_above_sixteenth_takes_cited_branch(self):
         g = triple_free_complement()  # n=32, alpha=3 > 2
         assert alpha_exact(g).value == 3
-        rep = sigma_lower_sparse(g, PipelineParams.practical())
+        rep = sigma_lower_sparse(g)
         names = [e.get("name") for e in rep.transcript if "name" in e]
         assert "alpha > n/16" in names
 
     def test_alpha_at_sixteenth_proceeds(self):
         g = cocktail_party(16)  # n=32, alpha=2 == n/16
         assert alpha_exact(g).value == 2
-        rep = sigma_lower_sparse(g, PipelineParams.practical())
+        rep = sigma_lower_sparse(g)
         names = [e.get("name") for e in rep.transcript if "name" in e]
         assert "alpha > n/16" not in names
         assert rep.certificate is not None and rep.certificate.verified
@@ -266,22 +263,21 @@ class TestSparseBranches:
         # alpha > n/2: a perfect matching plus one isolated pair broken
         matching = new_graph(16, [(2 * i, 2 * i + 1) for i in range(7)])
         assert alpha_exact(matching).value == 9  # > 8 = n/2
-        with pytest.raises(PreconditionRefusal, match="alpha <= n/2"):
-            sigma_lower_sparse(matching, PipelineParams.paper())
+        sparse = paper_hypotheses(matching.n, matching.m, 9)["sparse"]
+        assert first_failing(sparse) == (
+            REQ_SPARSE_ALPHA, "hypothesis not met: alpha <= n/2 (alpha = 9, n = 16)"
+        )
         # density above the paper ceiling on any desk-scale graph
         full_matching = new_graph(16, [(2 * i, 2 * i + 1) for i in range(8)])
         assert alpha_exact(full_matching).value == 8
-        try:
-            sigma_lower_sparse(full_matching, PipelineParams.paper())
-            raise AssertionError("expected a refusal")
-        except PreconditionRefusal as exc:
-            assert exc.requirement == REQ_SPARSE_D
+        sparse = paper_hypotheses(full_matching.n, full_matching.m, 8)["sparse"]
+        assert [e["holds"] for e in sparse] == [True, False]
+        assert first_failing(sparse)[0] == REQ_SPARSE_D
 
     def test_given_alpha_still_searches_a_smaller_filtered_graph(self, monkeypatch):
         g = hub_periphery_graph()  # the degree filter keeps 400 of 500
-        params = PipelineParams.practical()
-        alpha = alpha_exact(g, params.alpha_budget)
-        expected = sigma_lower_sparse(g, params).to_json_dict()
+        alpha = alpha_exact(g)
+        expected = sigma_lower_sparse(g).to_json_dict()
         searched = []
 
         def counted(h, budget):
@@ -289,13 +285,12 @@ class TestSparseBranches:
             return alpha_exact(h, budget)
 
         monkeypatch.setattr(pipeline, "alpha_exact", counted)
-        assert sigma_lower_sparse(g, params, alpha=alpha).to_json_dict() == expected
+        assert sigma_lower_sparse(g, alpha=alpha).to_json_dict() == expected
         assert searched[0] == 400 and 500 not in searched
 
     def test_recursion_terminates_with_depth_cap(self):
         g = gen_gnp(900, 0.4, 4)
-        params = PipelineParams.practical(alpha_budget=120_000)
-        rep = sigma_lower_sparse(g, params, depth=MAX_DEPTH, seed=0)
+        rep = sigma_lower_sparse(g, depth=MAX_DEPTH, seed=0, alpha_budget=120_000)
         assert "depth-cap-exceeded" in rep.flags
         assert rep.claimed_sigma_lower == 1
         assert rep.provenance == "certified-constructive"
@@ -307,33 +302,32 @@ class TestSparseBranches:
 class TestAuto:
     def test_routes_dense_when_gate_holds(self):
         g = gen_gnp(1800, 0.98, 3)
-        rep = sigma_lower_auto(g, PipelineParams.practical(alpha_budget=500_000))
+        rep = sigma_lower_auto(g, alpha_budget=500_000)
         assert rep.transcript[0] == {"step": "auto", "route": "dense"}
 
     def test_routes_sparse_otherwise(self):
         g = gen_gnp(300, 0.5, 3)
-        rep = sigma_lower_auto(g, PipelineParams.practical())
+        rep = sigma_lower_auto(g)
         assert rep.transcript[0] == {"step": "auto", "route": "sparse"}
 
     def test_given_alpha_gives_the_same_report(self):
-        params = PipelineParams.practical()
         for seed in (0, 1):
             g = gen_gnp(200, OPTIMAL_P, seed)
-            alpha = alpha_exact(g, params.alpha_budget)
-            with_alpha = sigma_lower_auto(g, params, seed, alpha).to_json_dict()
-            assert with_alpha == sigma_lower_auto(g, params, seed).to_json_dict()
+            alpha = alpha_exact(g)
+            with_alpha = sigma_lower_auto(g, seed, alpha).to_json_dict()
+            assert with_alpha == sigma_lower_auto(g, seed).to_json_dict()
 
     def test_small_graph_bounds_respect_exact_sigma(self, rng):
         for _ in range(40):
             g = random_graph(rng, rng.randint(2, 12))
-            rep = sigma_lower_auto(g, PipelineParams.practical())
+            rep = sigma_lower_auto(g)
             exact, _ = sigma_exact_value(g)
             assert rep.claimed_sigma_lower <= max(1, exact.value)
 
 
 # sigma_lower_auto on G(n, p, graph_seed) with the route seed: claim,
-# flags, certificate sha256 (None for the single vertex) and the paper-mode
-# refusal.  Every claim is certified-constructive.
+# flags, certificate sha256 (None for the single vertex) and the first
+# paper hypothesis that fails.  Every claim is certified-constructive.
 RANDOM_PINS = [
     (6, 0.3, 100, 0, 1, [], None, REQ_SPARSE_ALPHA),
     (8, 0.6, 101, 1, 1, [], None, REQ_SPARSE_D),
@@ -375,21 +369,21 @@ class TestPinnedReports:
     )
     def test_random_graphs(self, n, p, graph_seed, seed, claim, flags, sha, refusal):
         g = gen_gnp(n, p, graph_seed)
-        rep = sigma_lower_auto(g, PipelineParams.practical(), seed)
+        rep = sigma_lower_auto(g, seed)
         assert rep.claimed_sigma_lower == claim
         assert rep.provenance == "certified-constructive"
         assert rep.flags == flags
         assert rep.certificate.verified
         assert cert_sha(rep) == (sha or SINGLE_VERTEX_SHA)
-        with pytest.raises(PreconditionRefusal) as exc:
-            sigma_lower_auto(g, PipelineParams.paper(), seed)
-        assert exc.value.requirement == refusal
+        hypotheses = paper_hypotheses(g.n, g.m, alpha_exact(g).value)
+        assert first_failing(hypotheses["auto"])[0] == refusal
 
 
 class TestPaperModeRefuses:
-    # (auto, sparse) requirements over the 300 graphs below, and the sha256
-    # of every graph's (auto, dense, sparse) requirement and message, both
-    # measured when every paper-mode route searched for alpha first
+    # (auto, sparse) first failing hypotheses over the 300 graphs below, and
+    # the sha256 of every graph's (auto, dense, sparse) requirement and
+    # message, both measured when the pipeline routes refused in paper mode
+    # after searching for alpha; the report on the exact alpha reproduces them
     REASONS = {
         (REQ_SPARSE_D, REQ_SPARSE_D): 162,
         (REQ_SPARSE_ALPHA, REQ_SPARSE_ALPHA): 72,
@@ -399,66 +393,60 @@ class TestPaperModeRefuses:
     REASONS_SHA = "9237d4e2a563b0ca98e3115335b0486babb53a7cced238b268bd3f87aad5b166"
 
     def test_every_small_random_graph(self):
-        params = PipelineParams.paper()
         reasons = []
         for n in range(1, 61):
             for p in (0.0, 0.25, 0.5, 0.75, 1.0):
                 g = gen_gnp(n, p, n)
                 alpha = alpha_exact(g)
-                row = []
-                for route in (
-                    lambda: sigma_lower_auto(g, params),
-                    lambda: sigma_lower_dense(g, alpha, params),
-                    lambda: sigma_lower_sparse(g, params),
-                ):
-                    with pytest.raises(PreconditionRefusal) as exc:
-                        route()
-                    row.append((exc.value.requirement, str(exc.value)))
-                reasons.append(row)
+                assert alpha.exact
+                hypotheses = paper_hypotheses(g.n, g.m, alpha.value)
+                reasons.append(
+                    [first_failing(hypotheses[case]) for case in ("auto", "dense", "sparse")]
+                )
         assert Counter((a[0], s[0]) for a, _, s in reasons) == self.REASONS
         assert hashlib.sha256(repr(reasons).encode()).hexdigest() == self.REASONS_SHA
 
     def test_refused_on_density_without_searching_for_alpha(self, monkeypatch):
-        # a greedy clique partition shows alpha <= n/2, so only d <= c can
-        # fail; searching for alpha here took 1.9 s
-        calls = []
+        # the report searches for no alpha: on G(200, 0.03) a paper-mode
+        # route once spent over 30 s in an alpha search only to name d <= c
+        def refuse(*args):
+            raise AssertionError("alpha searched for")
 
-        def counted(g, budget):
-            calls.append(g.n)
-            return alpha_exact(g, budget)
-
-        monkeypatch.setattr(pipeline, "alpha_exact", counted)
-        g = gen_gnp(2000, OPTIMAL_P, 0)
-        for route in (sigma_lower_auto, sigma_lower_sparse):
-            with pytest.raises(PreconditionRefusal) as exc:
-                route(g, PipelineParams.paper())
-            assert exc.value.requirement == REQ_SPARSE_D
-        assert calls == []
+        monkeypatch.setattr(pipeline, "alpha_exact", refuse)
+        g = gen_gnp(200, 0.03, 0)
+        hypotheses = paper_hypotheses(g.n, g.m)
+        alpha_entry, d_entry = hypotheses["sparse"]
+        assert hypotheses["auto"] == hypotheses["sparse"]
+        assert alpha_entry == {
+            "requirement": REQ_SPARSE_ALPHA, "detail": "alpha = unknown, n = 200", "holds": None
+        }
+        assert d_entry["requirement"] == REQ_SPARSE_D and d_entry["holds"] is False
+        assert first_failing(hypotheses["sparse"]) == (
+            REQ_SPARSE_D, f"hypothesis not met: {REQ_SPARSE_D} (d = {float(edge_density(g)):.6g})"
+        )
 
     def test_cocktail_party_refused_on_density(self):
         # alpha = 2 passes the alpha check; d is far above the paper's c
         g = cocktail_party(900)
-        for route in (sigma_lower_auto, sigma_lower_sparse):
-            with pytest.raises(PreconditionRefusal) as exc:
-                route(g, PipelineParams.paper())
-            assert exc.value.requirement == REQ_SPARSE_D
+        hypotheses = paper_hypotheses(g.n, g.m, 2)
+        for case in ("auto", "sparse"):
+            assert [e["holds"] for e in hypotheses[case]] == [True, False]
+            assert first_failing(hypotheses[case])[0] == REQ_SPARSE_D
 
+    def test_complete_graph_refused_on_n_without_an_exact_alpha(self):
+        # a complete graph is the dense case, whose hypothesis reads n alone
+        hypotheses = paper_hypotheses(12, 66)
+        assert hypotheses["auto"] == hypotheses["dense"]
+        assert first_failing(hypotheses["auto"]) == (
+            REQ_DENSE_N, f"hypothesis not met: {REQ_DENSE_N} (n = 12)"
+        )
 
-    def test_complete_graph_refused_on_n_without_an_exact_alpha(self, monkeypatch):
-        # with alpha_budget=0 the search ends heuristic at alpha = 1; the
-        # gate needs no alpha to send a complete graph to the dense case
-        calls = []
-
-        def counted(g, budget):
-            calls.append(g.n)
-            return alpha_exact(g, budget)
-
-        monkeypatch.setattr(pipeline, "alpha_exact", counted)
-        with pytest.raises(PreconditionRefusal) as exc:
-            sigma_lower_auto(complete(12), PipelineParams.paper(alpha_budget=0))
-        assert exc.value.requirement == REQ_DENSE_N
-        assert str(exc.value) == f"hypothesis not met: {REQ_DENSE_N} (n = 12)"
-        assert calls == []
+    @pytest.mark.parametrize(
+        "n, m, alpha", [(-1, 0, None), (3, 4, None), (3, 3, 4), (3, -1, None), (2, 1, -1)]
+    )
+    def test_impossible_graph_rejected(self, n, m, alpha):
+        with pytest.raises(ValueError, match="no graph"):
+            paper_hypotheses(n, m, alpha)
 
 
 @st.composite
@@ -475,11 +463,7 @@ class TestSmallGraphProperty:
     def test_certificates_and_refusals(self, g, seed):
         exact, _ = sigma_exact_value(g)
         assert exact.tag == "exact"
-        practical = PipelineParams.practical()
-        for rep in (
-            sigma_lower_auto(g, practical, seed=seed),
-            sigma_lower_sparse(g, practical, seed=seed),
-        ):
+        for rep in (sigma_lower_auto(g, seed=seed), sigma_lower_sparse(g, seed=seed)):
             cert = rep.certificate
             if cert is not None and cert.verified:
                 assert verify_subdivision(g, cert).ok
@@ -489,15 +473,13 @@ class TestSmallGraphProperty:
         alpha = alpha_exact(g).value
         sparse = REQ_SPARSE_ALPHA if 2 * alpha > g.n else REQ_SPARSE_D
         is_complete = 2 * g.m == g.n * (g.n - 1)
-        paper = PipelineParams.paper()
-        for route, requirement in (
-            (lambda: sigma_lower_dense(g, None, paper, seed), REQ_DENSE_N),
-            (lambda: sigma_lower_sparse(g, paper, seed=seed), sparse),
-            (lambda: sigma_lower_auto(g, paper, seed), REQ_DENSE_N if is_complete else sparse),
+        hypotheses = paper_hypotheses(g.n, g.m, alpha)
+        for case, requirement in (
+            ("dense", REQ_DENSE_N),
+            ("sparse", sparse),
+            ("auto", REQ_DENSE_N if is_complete else sparse),
         ):
-            with pytest.raises(PreconditionRefusal) as exc:
-                route()
-            assert exc.value.requirement == requirement
+            assert first_failing(hypotheses[case])[0] == requirement
 
 
 class TestDispatch:
