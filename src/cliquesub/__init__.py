@@ -12,7 +12,6 @@ from .dense import dense_subset, missing_pair_count, peel_sequence
 from .drc import (
     DrcCertificate,
     PartitionError,
-    PreconditionRefusal,
     count_disjoint_paths4,
     drc_partition,
     drc_select,
@@ -55,8 +54,10 @@ from .pipeline import (
     BoundReport,
     FBound,
     InductionStepReport,
+    PreconditionRefusal,
     check_ratio_induction_step,
     paper_hypotheses,
+    paper_path_bound,
     sigma_lower_auto,
     sigma_lower_dense,
     sigma_lower_density_cited,

@@ -117,6 +117,7 @@ def cli_main(argv: list[str] | None = None) -> int:
                 "omega": st.omega.value,
                 "omega_tag": st.omega.tag,
                 "dsatur": st.dsatur,
+                "notes": st.notes,
             }
             if st.chi is not None:
                 payload["chi_lower"] = st.chi.chi_lower

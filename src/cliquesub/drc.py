@@ -7,7 +7,8 @@ satisfying draw exists).  The hub step is derandomized: it scans every
 candidate hub in V2, scoring |X|^2 - 40*b exactly, so certificates are
 reproducible.  Pair common-neighbor counts come from dense matrix products
 over square tiles of V1 x V1, so the scan is feasible at n ~ 6400 while only
-one tile of the pair matrix exists at a time.
+one tile of the pair matrix exists at a time.  Extraction has no density
+gate: the dense route owns d^2*n >= 1600.
 """
 
 from __future__ import annotations
@@ -24,26 +25,11 @@ from .subdivision import _path_interiors
 __all__ = [
     "DrcCertificate",
     "PartitionError",
-    "PreconditionRefusal",
     "drc_partition",
     "drc_select",
     "count_disjoint_paths4",
     "verify_drc_certificate",
-    "DRC_DENSITY_REQUIREMENT",
 ]
-
-DRC_DENSITY_REQUIREMENT = "d^2 * n >= 1600"
-
-
-class PreconditionRefusal(ValueError):
-    """An extraction precondition failed; the message names the inequality."""
-
-    def __init__(self, requirement: str, detail: str = ""):
-        self.requirement = requirement
-        msg = f"hypothesis not met: {requirement}"
-        if detail:
-            msg += f" ({detail})"
-        super().__init__(msg)
 
 
 class PartitionError(RuntimeError):
@@ -62,11 +48,9 @@ class DrcCertificate:
     """Transcript of one derandomized extraction.
 
     ``good_threshold`` is floor(d^2*n/800): a pair is bad iff its
-    common-neighbor count on the far side is <= this cutoff.
-    ``path_bound`` is the paper's per-pair guarantee ceil(1e-9*d^5*n) of
-    internally disjoint length-4 paths, recorded in paper mode only.  In
-    practical mode it is None: the route's evidence there is the verified
-    length-4 subdivision built on U, not a path count.
+    common-neighbor count on the far side is <= this cutoff.  The
+    certificate records no path count: the routes' evidence is the verified
+    length-4 subdivision built on U.
     """
 
     v1: tuple[int, ...]
@@ -76,16 +60,12 @@ class DrcCertificate:
     bad_pair_count: int
     u_set: tuple[int, ...]
     good_threshold: int
-    path_bound: Optional[int]
-    mode: str
 
     def to_json_dict(self) -> dict:
         return {
-            "mode": self.mode,
             "hub": self.hub,
             "good_threshold": self.good_threshold,
             "bad_pair_count": self.bad_pair_count,
-            "path_bound": self.path_bound,
             "x_size": len(self.x_set),
             "u_set": list(self.u_set),
             "v1": list(self.v1),
@@ -158,29 +138,17 @@ def _bad_pairs_per_hub(a: np.ndarray, tau: int, block: int = _SCAN_BLOCK) -> np.
     return ordered // 2
 
 
-def drc_select(
-    g: Graph,
-    v1: Iterable[int],
-    v2: Iterable[int],
-    mode: str = "paper",
-) -> DrcCertificate:
+def drc_select(g: Graph, v1: Iterable[int], v2: Iterable[int]) -> DrcCertificate:
     """Derandomized hub selection over all of V2.
 
     Scans every candidate hub, computes X = N(hub) in V1 and the exact bad
     pair count b inside X, and keeps the maximizer of |X|^2 - 40*b (ties to
     the lowest hub label).  Vertices of X that form bad pairs with at least
     |X|/4 of X are discarded; the first ceil(|X|/5) survivors in label order
-    form U.  Paper mode refuses unless d^2*n >= 1600 and records the
-    paper's path guarantee; practical mode records none.
+    form U.
     """
-    if mode not in ("paper", "practical"):
-        raise ValueError(f"unknown mode {mode!r}")
     n = g.n
     d = edge_density(g)
-    if mode == "paper" and d * d * n < 1600:
-        raise PreconditionRefusal(
-            DRC_DENSITY_REQUIREMENT, f"d^2*n = {float(d * d * n):.6g}"
-        )
     v1 = tuple(sorted(v1))
     v2 = tuple(sorted(v2))
     if set(v1) & set(v2) or set(v1) | set(v2) != set(range(n)):
@@ -227,11 +195,6 @@ def drc_select(
     if len(survivors) < u_size:
         raise AssertionError("more than |X|/5 bad vertices; b bound violated")
     u_set = tuple(survivors[:u_size])
-
-    path_bound = None
-    if mode == "paper":
-        bound = Fraction(d**5 * n, 10**9)
-        path_bound = -(-bound.numerator // bound.denominator)
     return DrcCertificate(
         v1=v1,
         v2=v2,
@@ -240,8 +203,6 @@ def drc_select(
         bad_pair_count=b,
         u_set=u_set,
         good_threshold=tau,
-        path_bound=path_bound,
-        mode=mode,
     )
 
 

@@ -9,11 +9,12 @@ step (dependent random choice: a partition, then a hub) and one build step
 (a ladder of greedy length-4 builds, each verified), and every fallback is
 the same verified single-vertex certificate.
 
-The dense route keeps its extraction gate d^2*n >= 1600, and both emit
+The dense route owns the extraction gate d^2*n >= 1600, and both emit
 machine-checked certificates for whatever order they actually achieve.
 The paper's own hypotheses, which with its density constant ``C_DENSITY``
 fail on every nonempty graph that fits in memory, are a pure report on
-(n, m, alpha): ``paper_hypotheses``.
+(n, m, alpha): ``paper_hypotheses``; its per-pair path guarantee after
+extraction is ``paper_path_bound``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from math import isqrt
 from typing import Optional
 
 from .dense import greedy_shrink_trace
-from .drc import DRC_DENSITY_REQUIREMENT, PreconditionRefusal, drc_partition, drc_select
+from .drc import drc_partition, drc_select
 from .esfilter import es_filter
 from .graphs import Graph, bits, edge_density, induced, vertex_mask
 from .oracles import DEFAULT_BUDGET, Tagged, alpha_exact
@@ -39,6 +40,7 @@ from .subdivision import (
 
 __all__ = [
     "BoundReport",
+    "DRC_DENSITY_REQUIREMENT",
     "PreconditionRefusal",
     "sigma_lower_dense",
     "sigma_lower_density_cited",
@@ -46,6 +48,7 @@ __all__ = [
     "sigma_lower_auto",
     "subdivision_bound_dispatch",
     "paper_hypotheses",
+    "paper_path_bound",
     "FBound",
     "check_ratio_induction_step",
     "InductionStepReport",
@@ -75,6 +78,18 @@ BUILDER_RETRIES = 30
 REQ_DENSE_N = "n >= 10^14 * c^-5"
 REQ_SPARSE_ALPHA = "alpha <= n/2"
 REQ_SPARSE_D = "d <= c"
+DRC_DENSITY_REQUIREMENT = "d^2 * n >= 1600"
+
+
+class PreconditionRefusal(ValueError):
+    """An extraction precondition failed; the message names the inequality."""
+
+    def __init__(self, requirement: str, detail: str = ""):
+        self.requirement = requirement
+        msg = f"hypothesis not met: {requirement}"
+        if detail:
+            msg += f" ({detail})"
+        super().__init__(msg)
 
 
 @dataclass
@@ -117,10 +132,13 @@ def _cited_report(g: Graph, transcript: list[dict], flags: list[str]) -> BoundRe
     return BoundReport(t, PROV_CITED, None, transcript, flags + ["non-certified"])
 
 
-def _alpha_value(alpha: Tagged | int) -> tuple[int, bool]:
-    if isinstance(alpha, Tagged):
-        return alpha.value, alpha.exact
-    return int(alpha), True
+def _alpha_or_search(g: Graph, alpha: Optional[Tagged], budget: int) -> Tagged:
+    """``alpha`` as given, or ``alpha_exact(g, budget)`` when it is None."""
+    if alpha is None:
+        return alpha_exact(g, budget)
+    if not isinstance(alpha, Tagged):
+        raise TypeError(f"alpha must be a Tagged oracle result or None, not {alpha!r}")
+    return alpha
 
 
 def sigma_lower_density_cited(g: Graph) -> BoundReport:
@@ -148,7 +166,7 @@ def _extract(
     """
     v1, v2 = drc_partition(h, seed)
     transcript.append({"step": "partition", "seed": seed, "v1_size": len(v1)})
-    cert = drc_select(h, v1, v2, mode="practical")
+    cert = drc_select(h, v1, v2)
     u_labels = tuple(sorted(labels[v] for v in cert.u_set))
     transcript.append(
         {
@@ -157,7 +175,6 @@ def _extract(
             "x_size": len(cert.x_set),
             "bad_pairs": cert.bad_pair_count,
             "u_size": len(u_labels),
-            "path_bound": cert.path_bound,
         }
     )
     return u_labels
@@ -215,7 +232,7 @@ def _build(
 
 def sigma_lower_dense(
     g: Graph,
-    alpha: Tagged | int | None,
+    alpha: Optional[Tagged],
     seed: int = 0,
     *,
     alpha_budget: int = DEFAULT_BUDGET,
@@ -238,12 +255,10 @@ def sigma_lower_dense(
         raise PreconditionRefusal(
             DRC_DENSITY_REQUIREMENT, f"d^2*n = {float(d * d * n):.6g}"
         )
-    if alpha is None:
-        alpha = alpha_exact(g, alpha_budget)
-    a_val, a_exact = _alpha_value(alpha)
-    flags = [] if a_exact else ["heuristic-alpha"]
+    alpha = _alpha_or_search(g, alpha, alpha_budget)
+    flags = [] if alpha.exact else ["heuristic-alpha"]
     transcript: list[dict] = [
-        {"step": "dense-entry", "n": n, "m": g.m, "alpha": a_val, "seed": seed}
+        {"step": "dense-entry", "n": n, "m": g.m, "alpha": alpha.value, "seed": seed}
     ]
     if n == 0:
         return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
@@ -294,8 +309,7 @@ def sigma_lower_sparse(
     if n == 0:
         return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
 
-    if alpha is None:
-        alpha = alpha_exact(g, alpha_budget)
+    alpha = _alpha_or_search(g, alpha, alpha_budget)
     a_val = alpha.value
     if not alpha.exact:
         flags.append("heuristic-alpha")
@@ -418,8 +432,7 @@ def sigma_lower_auto(
     """
     if g.n == 0:
         return BoundReport(0, PROV_TRIVIAL)
-    if alpha is None:
-        alpha = alpha_exact(g, alpha_budget)
+    alpha = _alpha_or_search(g, alpha, alpha_budget)
     if alpha.exact and alpha.value <= 1:
         return sigma_lower_dense(g, alpha, seed)
     d = edge_density(g)
@@ -498,6 +511,15 @@ def paper_hypotheses(n: int, m: int, alpha: Optional[int] = None) -> dict[str, l
         {"requirement": REQ_SPARSE_D, "detail": f"d = {float(d):.6g}", "holds": d <= C_DENSITY},
     ]
     return {"dense": dense, "sparse": sparse, "auto": dense if 2 * m == n * (n - 1) else sparse}
+
+
+def paper_path_bound(n: int, m: int) -> int:
+    """The paper's per-pair guarantee after extraction on n vertices and m
+    edges: ceil(1e-9*d^5*n) internally disjoint length-4 paths, d = 0 at n <= 1."""
+    if n < 0 or not 0 <= m <= n * (n - 1) // 2:
+        raise ValueError(f"no graph has n={n} and m={m}")
+    d = Fraction(m, n * (n - 1) // 2) if n > 1 else Fraction(0)
+    return math.ceil(d**5 * n / 10**9)
 
 
 @dataclass(frozen=True)

@@ -16,12 +16,7 @@ from typing import Iterable
 import numpy as np
 import pytest
 
-from cliquesub.drc import (
-    DRC_DENSITY_REQUIREMENT,
-    DrcCertificate,
-    PreconditionRefusal,
-    crossing_edges,
-)
+from cliquesub.drc import DrcCertificate, crossing_edges
 from cliquesub.graph_io import _GRAPH6_HEADER, ParseError, _g6_decode_n, _g6_encode_n
 from cliquesub.graphs import Graph, _pack_rows, bits, edge_density, new_graph
 from cliquesub.oracles import (
@@ -257,12 +252,7 @@ def reference_common_neighbor_matrix(g: Graph, v1: tuple[int, ...], v2: tuple[in
     return a12, a, common
 
 
-def reference_drc_select(
-    g: Graph,
-    v1: Iterable[int],
-    v2: Iterable[int],
-    mode: str = "paper",
-) -> DrcCertificate:
+def reference_drc_select(g: Graph, v1: Iterable[int], v2: Iterable[int]) -> DrcCertificate:
     """Derandomized hub selection with the full V1 x V1 pair matrix: the
     scan that the tiled ``drc_select`` replaced.  ``drc_select`` must return
     the same ``DrcCertificate``.
@@ -271,16 +261,10 @@ def reference_drc_select(
     pair count b inside X, and keeps the maximizer of |X|^2 - 40*b (ties to
     the lowest hub label).  Vertices of X that form bad pairs with at least
     |X|/4 of X are discarded; the first ceil(|X|/5) survivors in label order
-    form U.  Paper mode refuses unless d^2*n >= 1600.
+    form U.
     """
-    if mode not in ("paper", "practical"):
-        raise ValueError(f"unknown mode {mode!r}")
     n = g.n
     d = edge_density(g)
-    if mode == "paper" and d * d * n < 1600:
-        raise PreconditionRefusal(
-            DRC_DENSITY_REQUIREMENT, f"d^2*n = {float(d * d * n):.6g}"
-        )
     v1 = tuple(sorted(v1))
     v2 = tuple(sorted(v2))
     if set(v1) & set(v2) or set(v1) | set(v2) != set(range(n)):
@@ -325,12 +309,6 @@ def reference_drc_select(
     if len(survivors) < u_size:
         raise AssertionError("more than |X|/5 bad vertices; b bound violated")
     u_set = tuple(survivors[:u_size])
-
-    # the paper's path guarantee, recorded in paper mode only
-    path_bound = None
-    if mode == "paper":
-        paper_bound_frac = Fraction(d**5 * n, 10**9)
-        path_bound = -(-paper_bound_frac.numerator // paper_bound_frac.denominator)
     return DrcCertificate(
         v1=v1,
         v2=v2,
@@ -339,8 +317,6 @@ def reference_drc_select(
         bad_pair_count=b,
         u_set=u_set,
         good_threshold=tau,
-        path_bound=path_bound,
-        mode=mode,
     )
 
 

@@ -15,7 +15,6 @@ import pytest
 
 from cliquesub.dense import dense_subset, missing_pair_count
 from cliquesub.drc import (
-    PreconditionRefusal,
     count_disjoint_paths4,
     drc_partition,
     drc_select,
@@ -36,7 +35,12 @@ from cliquesub.oracles import (
     sigma_exact_tiny,
     sigma_exact_value,
 )
-from cliquesub.pipeline import sigma_lower_dense, sigma_lower_sparse
+from cliquesub.pipeline import (
+    PreconditionRefusal,
+    paper_path_bound,
+    sigma_lower_dense,
+    sigma_lower_sparse,
+)
 from cliquesub.subdivision import (
     BuildFailure,
     SubdivisionCertificate,
@@ -133,12 +137,12 @@ def test_criterion_4_extraction_at_scale():
             g = gen_gnp(n, p, seed)
             d = edge_density(g)
             v1, v2 = drc_partition(g, seed)
-            cert = drc_select(g, v1, v2, mode="paper")
+            cert = drc_select(g, v1, v2)
             x = len(cert.x_set)
             assert Fraction(50 * len(cert.u_set)) >= d * n
             assert Fraction(10 * x) >= d * n
             assert Fraction(40 * cert.bad_pair_count) <= Fraction(x * x)
-            need = cert.path_bound
+            need = paper_path_bound(g.n, g.m)
             assert need == 1  # ceil(1e-9 * d^5 * n) at this density
             forb = set(cert.u_set)
             pairs = [
@@ -271,20 +275,11 @@ def test_criterion_8_mode_fidelity():
         n, m_at = 1681, 1_377_600
         assert 4 * m_at**2 == 1600 * n * (n - 1) ** 2
         g_at = new_graph(n, _lex_prefix_edges(n, m_at))
-        rep = sigma_lower_dense(g_at, 2, seed=0)
+        rep = sigma_lower_dense(g_at, None, seed=0)
         assert rep.claimed_sigma_lower >= 1
         g_below = new_graph(n, _lex_prefix_edges(n, m_at - 1))
         with pytest.raises(PreconditionRefusal, match="1600"):
-            sigma_lower_dense(g_below, 2, seed=0)
-
-        # the same gate inside the raw extraction entry point, paper mode
-        k1600 = new_graph(1600, _lex_prefix_edges(1600, 1600 * 1599 // 2))
-        v1, v2 = drc_partition(k1600, 0)
-        drc_select(k1600, v1, v2, mode="paper")
-        k1599 = new_graph(1599, _lex_prefix_edges(1599, 1599 * 1598 // 2))
-        v1, v2 = drc_partition(k1599, 0)
-        with pytest.raises(PreconditionRefusal, match="1600"):
-            drc_select(k1599, v1, v2, mode="paper")
+            sigma_lower_dense(g_below, None, seed=0)
 
         # sparse branch boundaries: alpha vs n/16 (32 vertices, alpha 2 vs 3)
         from test_pipeline import cocktail_party, triple_free_complement

@@ -43,6 +43,7 @@ class TestStats:
         data = json.loads(capsys.readouterr().out)
         assert (data["alpha"], data["omega"], data["dsatur"]) == (2, 2, 3)
         assert data["chi_lower"] == data["chi_upper"] == 3
+        assert data["notes"] == []
         hypotheses = data["paper_hypotheses"]
         assert [e["holds"] for e in hypotheses["sparse"]] == [True, False]
         assert hypotheses["sparse"][0]["detail"] == "alpha = 2, n = 5"

@@ -10,7 +10,6 @@ from cliquesub.drc import (
     _SCAN_BLOCK,
     DrcCertificate,
     PartitionError,
-    PreconditionRefusal,
     count_disjoint_paths4,
     _bad_pairs_per_hub,
     crossing_edges,
@@ -85,27 +84,25 @@ class TestPartition:
 
 
 class TestSelect:
-    def test_paper_gate_boundary(self):
-        # complete graphs sit exactly on the gate: d=1 so d^2*n = n
-        k1599 = complete(1599)
-        v1, v2 = drc_partition(k1599, seed=0)
-        with pytest.raises(PreconditionRefusal, match="d\\^2 \\* n >= 1600"):
-            drc_select(k1599, v1, v2, mode="paper")
-        k1600 = complete(1600)
-        v1, v2 = drc_partition(k1600, seed=0)
-        cert = drc_select(k1600, v1, v2, mode="paper")
+    def test_certifies_below_the_dense_gate(self):
+        # d = 1 so d^2*n = 1599 < 1600: extraction has no gate of its own
+        g = complete(1599)
+        v1, v2 = drc_partition(g, seed=0)
+        cert = drc_select(g, v1, v2)
         assert isinstance(cert, DrcCertificate)
+        for name, ok in verify_drc_certificate(g, cert):
+            assert ok, name
 
     def test_practical_mode_runs_below_gate(self):
         g = gen_gnp(60, 0.6, 2)
         v1, v2 = drc_partition(g, seed=0)
-        cert = drc_select(g, v1, v2, mode="practical")
+        cert = drc_select(g, v1, v2)
         assert len(cert.u_set) >= 1
 
     def test_complete_graph_no_bad_pairs(self):
         g = complete(1600)
         v1, v2 = drc_partition(g, seed=0)
-        cert = drc_select(g, v1, v2, mode="paper")
+        cert = drc_select(g, v1, v2)
         assert cert.bad_pair_count == 0
         # U is the ceil(|X|/5) lowest-labelled vertices of X
         want = -(-len(cert.x_set) // 5)
@@ -113,9 +110,9 @@ class TestSelect:
         assert all(ok for _, ok in verify_drc_certificate(g, cert))
 
     def test_invariants_on_mid_scale_random(self):
-        g = gen_gnp(2200, 0.9, 4)  # d^2*n ~ 1780 passes the paper gate
+        g = gen_gnp(2200, 0.9, 4)  # d^2*n ~ 1780
         v1, v2 = drc_partition(g, seed=1)
-        cert = drc_select(g, v1, v2, mode="paper")
+        cert = drc_select(g, v1, v2)
         d = edge_density(g)
         n = g.n
         assert Fraction(10 * len(cert.x_set)) >= d * n
@@ -127,14 +124,14 @@ class TestSelect:
     def test_deterministic_given_partition(self):
         g = gen_gnp(300, 0.8, 7)
         v1, v2 = drc_partition(g, seed=2)
-        a = drc_select(g, v1, v2, mode="practical")
-        b = drc_select(g, v1, v2, mode="practical")
+        a = drc_select(g, v1, v2)
+        b = drc_select(g, v1, v2)
         assert a == b
 
     def test_wrong_partition_rejected(self):
         g = complete(8)
         with pytest.raises(ValueError, match="partition"):
-            drc_select(g, (0, 1, 2), (3, 4, 5), mode="practical")
+            drc_select(g, (0, 1, 2), (3, 4, 5))
 
     @staticmethod
     def _count_path_calls(monkeypatch):
@@ -152,9 +149,8 @@ class TestSelect:
         calls = self._count_path_calls(monkeypatch)
         g = gen_gnp(220, 0.85, 3)
         v1, v2 = drc_partition(g, seed=0)
-        cert = drc_select(g, v1, v2, mode="practical")
-        assert len(cert.u_set) >= 2 and cert.path_bound is None
-        assert cert.to_json_dict()["path_bound"] is None
+        cert = drc_select(g, v1, v2)
+        assert len(cert.u_set) >= 2
         assert calls == []
 
     def test_practical_hub_probes_no_paths_on_a_sweep_graph(self, monkeypatch):
@@ -164,7 +160,7 @@ class TestSelect:
         g = gen_gnp(1000, OPTIMAL_P, 56)
         report = sigma_lower_auto(g, 56)
         (hub,) = [step for step in report.transcript if step["step"] == "hub"]
-        assert hub["u_size"] >= 2 and hub["path_bound"] is None
+        assert hub["u_size"] >= 2
         assert calls == []
 
 
@@ -179,14 +175,15 @@ class TestTiledScan:
             (601, OPTIMAL_P, 3),  # odd n: |V1| = 301, |V2| = 300
             (201, OPTIMAL_P, 4),  # |V1| = 101, below the block
             (777, OPTIMAL_P, 5),  # |V1| = 389
+            (2000, 0.95, 0),  # the pipeline-dense benchmark graph
         ],
     )
     def test_certificate_equals_full_matrix_scan(self, n, p, seed):
         g = gen_gnp(n, p, seed)
         v1, v2 = drc_partition(g, seed)
         assert len(v1) - len(v2) == n % 2
-        got = drc_select(g, v1, v2, mode="practical")
-        assert got == reference_drc_select(g, v1, v2, mode="practical")
+        got = drc_select(g, v1, v2)
+        assert got == reference_drc_select(g, v1, v2)
 
     def test_bad_pairs_equal_full_matrix_scan(self):
         # on G(n, p) no pair has at most tau common neighbours; here w's only
@@ -201,10 +198,10 @@ class TestTiledScan:
         mat[w, list(v2)] = mat[list(v2), w] = False
         mat[w, h] = mat[h, w] = True
         g = Graph(g0.n, _pack_rows(mat))
-        got = drc_select(g, v1, v2, mode="practical")
+        got = drc_select(g, v1, v2)
         assert (got.good_threshold, got.hub, got.bad_pair_count) == (1, h, len(v1) - 1)
         assert w in got.x_set and w not in got.u_set
-        assert got == reference_drc_select(g, v1, v2, mode="practical")
+        assert got == reference_drc_select(g, v1, v2)
 
     def test_float32_scan_equals_full_matrix_scan_from_2897(self):
         # |V1| = 2897 is the least size with |V1|^2 >= 2^23, past which
@@ -222,14 +219,9 @@ class TestTiledScan:
         mat[w, h] = mat[h, w] = True
         g = Graph(len(mat), _pack_rows(mat))
         del mat
-        got = drc_select(g, v1, v2, mode="practical")
+        got = drc_select(g, v1, v2)
         assert (got.hub, got.bad_pair_count) == (h, len(v1) - 1)
-        assert got == reference_drc_select(g, v1, v2, mode="practical")
-
-    def test_paper_mode_equals_full_matrix_scan(self):
-        g = gen_gnp(2000, 0.95, 0)  # d^2*n ~ 1800 passes the paper gate
-        v1, v2 = drc_partition(g, 0)
-        assert drc_select(g, v1, v2) == reference_drc_select(g, v1, v2)
+        assert got == reference_drc_select(g, v1, v2)
 
     @staticmethod
     def full_matrix_counts(a: np.ndarray, tau: int) -> np.ndarray:

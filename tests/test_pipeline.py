@@ -20,6 +20,7 @@ from cliquesub.pipeline import (
     PreconditionRefusal,
     check_ratio_induction_step,
     paper_hypotheses,
+    paper_path_bound,
     sigma_lower_auto,
     sigma_lower_dense,
     sigma_lower_density_cited,
@@ -124,9 +125,20 @@ class TestDense:
 
     def test_clique_shortcut(self):
         g = complete(80)
-        rep = sigma_lower_dense(g, 1)
+        rep = sigma_lower_dense(g, None)
         assert rep.claimed_sigma_lower == 80
         assert rep.certificate.verified and rep.certificate.order == 80
+
+    def test_bare_int_alpha_rejected(self):
+        # an int was once reported as an exact alpha without a check
+        g = gen_gnp(2000, 0.95, 0)
+        for alpha in (999, -3):
+            with pytest.raises(TypeError, match="Tagged"):
+                sigma_lower_dense(g, alpha)
+        with pytest.raises(TypeError, match="Tagged"):
+            sigma_lower_sparse(cycle(5), alpha=2)
+        with pytest.raises(TypeError, match="Tagged"):
+            sigma_lower_auto(cycle(5), alpha=2)
 
     def test_practical_gate(self):
         g = gen_gnp(200, 0.5, 1)  # d^2*n ~ 50, far below the gate
@@ -447,6 +459,23 @@ class TestPaperModeRefuses:
     def test_impossible_graph_rejected(self, n, m, alpha):
         with pytest.raises(ValueError, match="no graph"):
             paper_hypotheses(n, m, alpha)
+
+
+class TestPaperPathBound:
+    @pytest.mark.parametrize(
+        "n, want", [(10**9, 1), (10**9 + 1, 2), (2 * 10**9, 2)]
+    )
+    def test_complete_graphs(self, n, want):
+        # d = 1, so the bound is ceil(n / 10^9)
+        assert paper_path_bound(n, n * (n - 1) // 2) == want
+
+    def test_n_at_most_one_has_density_zero(self):
+        assert paper_path_bound(0, 0) == paper_path_bound(1, 0) == 0
+
+    @pytest.mark.parametrize("n, m", [(-1, 0), (3, 4), (3, -1), (1, 1)])
+    def test_impossible_graph_rejected(self, n, m):
+        with pytest.raises(ValueError, match="no graph"):
+            paper_path_bound(n, m)
 
 
 @st.composite
