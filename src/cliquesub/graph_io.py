@@ -14,11 +14,15 @@ from typing import Union
 
 import numpy as np
 
-from .graphs import Graph, _mirror, _pack_rows, new_graph
+from .graphs import Graph, _symmetric_rows, _unpack_rows, new_graph
 
 __all__ = ["ParseError", "read_graph", "write_graph", "to_graph6", "from_graph6"]
 
 _GRAPH6_HEADER = ">>graph6<<"
+
+# rows of the adjacency matrix that the graph6 codec holds unpacked at a
+# time, one byte per entry: 128 n bytes
+_ROW_BLOCK = 128
 
 
 class ParseError(ValueError):
@@ -53,7 +57,9 @@ def _parse_edge_list(text: str, n: int | None) -> Graph:
             try:
                 declared = int(parts[1])
             except ValueError:
-                raise ParseError(f"bad vertex count {parts[1]!r}", line=lineno) from None
+                declared = -1
+            if declared < 0:
+                raise ParseError(f"bad vertex count {parts[1]!r}", line=lineno)
             continue
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
@@ -111,34 +117,64 @@ def _g6_decode_n(data: bytes) -> tuple[int, int]:
     return n, end
 
 
+def _sextets(trios: np.ndarray) -> np.ndarray:
+    """k x 4 array of the 6-bit groups of a k x 3 array of bytes, most
+    significant bit first: each row's 24 bits, cut in four."""
+    b0, b1, b2 = trios.T
+    out = np.empty((len(trios), 4), dtype=np.uint8)
+    out[:, 0] = b0 >> 2
+    out[:, 1] = ((b0 & 3) << 4) | (b1 >> 4)
+    out[:, 2] = ((b1 & 15) << 2) | (b2 >> 6)
+    out[:, 3] = b2 & 63
+    return out
+
+
+def _trios(sextets: np.ndarray) -> np.ndarray:
+    """Inverse of ``_sextets``: the k x 3 bytes whose bits the k x 4 6-bit
+    groups hold, in order."""
+    s0, s1, s2, s3 = sextets.T
+    out = np.empty((len(sextets), 3), dtype=np.uint8)
+    out[:, 0] = (s0 << 2) | (s1 >> 4)
+    out[:, 1] = (s1 << 4) | (s2 >> 2)
+    out[:, 2] = (s2 << 6) | s3
+    return out
+
+
 def to_graph6(g: Graph) -> str:
     """Encode as a graph6 string (no trailing newline).
 
     Reads ``g.rows`` directly and does not fill the graph's cached
-    ``bool_matrix``.  Its temporaries are the n(n-1)/2 pair bits, one byte
-    each, held twice while they are joined: about n^2 bytes.
+    ``bool_matrix``.  It peaks at about 0.63 n^2 bytes (tracemalloc,
+    n = 2000): the n(n-1)/2 pair bits, one byte each, and a block of
+    ``_ROW_BLOCK`` unpacked rows.
     """
     n = g.n
-    cols = []
-    for v in range(1, n):
-        # column v of the upper triangle is bits 0..v-1 of row v
-        low = (g.rows[v] & ((1 << v) - 1)).to_bytes((v + 7) // 8, "little")
-        cols.append(np.unpackbits(np.frombuffer(low, np.uint8), bitorder="little", count=v))
-    cols.append(np.zeros(-(n * (n - 1) // 2) % 6, dtype=np.uint8))
-    bits = np.concatenate(cols).reshape(-1, 6)
-    body = (np.packbits(bits, axis=1)[:, 0] >> 2) + 63
+    npairs = n * (n - 1) // 2
+    # column v of the upper triangle is bits 0..v-1 of row v, so the pair
+    # bits are each row's first v bits in turn; padded to whole groups of
+    # 24 bits, three bytes or four graph6 characters
+    stream = np.zeros(-(-npairs // 24) * 24, dtype=np.uint8)
+    for lo in range(0, n, _ROW_BLOCK):
+        block = _unpack_rows(n, g.rows[lo : lo + _ROW_BLOCK])
+        for v in range(lo, lo + len(block)):
+            stream[v * (v - 1) // 2 : v * (v + 1) // 2] = block[v - lo, :v]
+    trios = np.packbits(stream).reshape(-1, 3)
+    del stream
+    body = _sextets(trios).ravel()[: (npairs + 5) // 6]
+    body += 63
     return (_g6_encode_n(n) + body.tobytes()).decode("ascii")
 
 
 def from_graph6(text: str) -> Graph:
     """Decode a graph6 string (optional ``>>graph6<<`` header allowed).
 
-    Builds the graph through a temporary dense n x n bool matrix, mirrored
-    in place.  It peaks at about 1.75 n^2 bytes (tracemalloc), 7 MB at
-    n = 2000, while it fills the matrix: n^2 for the matrix, n^2/2 for the
-    unpacked bit string, the rest for copies of the input.  The bit string
-    is freed before the mirror and the packing.  Positions in a
-    ``ParseError`` count bytes after surrounding whitespace and the header.
+    Fills the lower triangle ``_ROW_BLOCK`` rows at a time, packs each block
+    and mirrors the packed bits, so it never holds an n x n byte matrix.  It
+    peaks at about 0.75 n^2 bytes (tracemalloc, n = 2000) while it fills:
+    n^2/2 for the unpacked bit string, n^2/8 for the packed rows and one
+    block; the input's copies and the 6-bit groups are freed before.
+    Positions in a ``ParseError`` count bytes after surrounding whitespace
+    and the header.
     """
     s = text.strip()
     if s.startswith(_GRAPH6_HEADER):
@@ -149,32 +185,43 @@ def from_graph6(text: str) -> Graph:
         raise ParseError(
             f"non-ASCII character {s[exc.start]!r} in graph6 data", byte=exc.start
         ) from None
+    del s
     n, off = _g6_decode_n(data)
     npairs = n * (n - 1) // 2
     need = (npairs + 5) // 6
-    body = data[off:]
-    if len(body) != need:
+    size = len(data) - off
+    if size != need:
         raise ParseError(
-            f"graph6 body has {len(body)} bytes, expected {need} for n={n}",
-            byte=off + min(len(body), need),
+            f"graph6 body has {size} bytes, expected {need} for n={n}",
+            byte=off + min(size, need),
         )
+    # whole groups of four 6-bit characters, three bytes of the bit string;
     # bytes below 63 wrap to 193..255, so one compare finds every bad byte
-    vals = np.frombuffer(body, dtype=np.uint8) - np.uint8(63)
+    chars = np.zeros((-(-need // 4), 4), dtype=np.uint8)
+    vals = chars.reshape(-1)[:need]
+    vals[:] = np.frombuffer(data, dtype=np.uint8, offset=off)
+    vals -= np.uint8(63)
     bad = np.flatnonzero(vals > 63)
     if bad.size:
         i = int(bad[0])
-        raise ParseError(f"bad graph6 byte {body[i]}", byte=off + i)
-    bits = np.unpackbits((vals << 2)[:, None], axis=1, count=6).ravel()
+        raise ParseError(f"bad graph6 byte {data[off + i]}", byte=off + i)
+    del data, vals
+    trios = _trios(chars)
+    del chars
+    bits = np.unpackbits(trios.ravel())
+    del trios
     if bits[npairs:].any():
         raise ParseError("nonzero padding bits", byte=off + npairs // 6)
-    mat = np.zeros((n, n), dtype=bool)
     # column v of the upper triangle is row v's first v entries, written
-    # contiguously; the mirror fills the upper triangle from them
-    for v in range(1, n):
-        mat[v, :v] = bits[v * (v - 1) // 2 : v * (v + 1) // 2]
-    del bits, vals  # the mirror and the packing need only the matrix
-    _mirror(mat)
-    return Graph._trusted(n, _pack_rows(mat))
+    # contiguously; the packed mirror fills the upper triangle from them
+    packed = np.empty((n, (n + 7) // 8), dtype=np.uint8)
+    for lo in range(0, n, _ROW_BLOCK):
+        block = np.zeros((min(_ROW_BLOCK, n - lo), n), dtype=bool)
+        for v in range(lo, lo + len(block)):
+            block[v - lo, :v] = bits[v * (v - 1) // 2 : v * (v + 1) // 2]
+        packed[lo : lo + len(block)] = np.packbits(block, axis=1, bitorder="little")
+    del bits
+    return Graph._trusted(n, _symmetric_rows(packed))
 
 
 PathOrFile = Union[str, Path, io.TextIOBase]
@@ -184,6 +231,8 @@ def read_graph(source: PathOrFile, fmt: str = "edge-list", n: int | None = None)
     """Read a graph from a path or text stream in the given format."""
     if fmt not in ("edge-list", "graph6"):
         raise ValueError(f"unknown format {fmt!r}")
+    if n is not None and n < 0:
+        raise ValueError(f"vertex count must be nonnegative, got {n}")
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
     else:

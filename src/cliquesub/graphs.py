@@ -21,10 +21,13 @@ __all__ = [
 # doubles per generator call in ``gen_gnp``: a 512 KB temporary
 GNP_DRAW_BLOCK = 1 << 16
 
-# side of the square blocks in which the symmetric-matrix passes walk an
-# n x n matrix: a block and its transposed mirror both stay in cache, where
-# a whole-matrix transpose reads one of them with stride n
-_TILE = 256
+# (mask, shift) of the three delta swaps that transpose an 8 x 8 bit block
+# held in a uint64, byte r holding row r: 2 x 2, then 4 x 4, then 8 x 8
+_BLOCK_SWAPS = (
+    (np.uint64(0x00AA00AA00AA00AA), np.uint64(7)),
+    (np.uint64(0x0000CCCC0000CCCC), np.uint64(14)),
+    (np.uint64(0x00000000F0F0F0F0), np.uint64(28)),
+)
 
 
 def bits(mask: int) -> Iterator[int]:
@@ -63,12 +66,16 @@ class Graph:
                 raise ValueError(f"row {v} has bits beyond vertex range")
             if (row >> v) & 1:
                 raise ValueError(f"loop at vertex {v}")
-        # the matrix is not cached: a caller that never needs it should not
-        # hold n^2 bytes for the check, which peaks at that one matrix plus
-        # its n^2/8 packed bytes and makes no transposed copy
-        mat = _unpack_rows(n, rows)
-        if not _is_symmetric(mat):
-            u, v = np.argwhere(mat > mat.T)[0]
+        # packed bits only, n^2/8 bytes per array: the check peaks at about
+        # 0.4 n^2 bytes above the rows it is given (tracemalloc, n = 2000)
+        # and never unpacks the matrix
+        packed = _row_bytes(n, rows)
+        one_way = _transpose_bits(packed)
+        np.invert(one_way, out=one_way)
+        one_way &= packed
+        if one_way.any():
+            u = int(np.flatnonzero(one_way.any(axis=1))[0])
+            v = int(np.flatnonzero(np.unpackbits(one_way[u], bitorder="little"))[0])
             raise ValueError(f"adjacency not symmetric at ({u},{v})")
         self._set(n, rows)
 
@@ -132,37 +139,62 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-def _unpack_rows(n: int, rows: Sequence[int]) -> np.ndarray:
-    """len(rows) x n uint8 matrix whose entry (i, j) is bit j of ``rows[i]``."""
+def _row_bytes(n: int, rows: Sequence[int]) -> np.ndarray:
+    """len(rows) x ceil(n/8) uint8 array: row i holds ``rows[i]``'s bytes,
+    least significant first, so bit j of row i is bit j % 8 of byte j // 8."""
     nbytes = (n + 7) // 8
     buf = bytearray(len(rows) * nbytes)
     for v, row in enumerate(rows):
         buf[v * nbytes : (v + 1) * nbytes] = row.to_bytes(nbytes, "little")
-    arr = np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
-    return np.unpackbits(arr, axis=1, bitorder="little", count=n)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(len(rows), nbytes)
 
 
-def _tile_pairs(n: int) -> Iterator[tuple[tuple[slice, slice], tuple[slice, slice]]]:
-    """Yield the index of each ``_TILE`` x ``_TILE`` block of an n x n matrix
-    on or above the diagonal, with the index of its mirror block."""
-    for lo in range(0, n, _TILE):
-        rows = slice(lo, lo + _TILE)
-        for col in range(lo, n, _TILE):
-            cols = slice(col, col + _TILE)
-            yield (rows, cols), (cols, rows)
+def _unpack_rows(n: int, rows: Sequence[int]) -> np.ndarray:
+    """len(rows) x n uint8 matrix whose entry (i, j) is bit j of ``rows[i]``."""
+    return np.unpackbits(_row_bytes(n, rows), axis=1, bitorder="little", count=n)
 
 
-def _mirror(mat: np.ndarray) -> None:
-    """``mat |= mat.T`` in place, one tile pair at a time: no n x n temporary."""
-    for up, low in _tile_pairs(len(mat)):
-        both = mat[up] | mat[low].T
-        mat[up] = both
-        mat[low] = both.T
+def _rows_of(packed: np.ndarray) -> list[int]:
+    """Adjacency rows of a packed matrix laid out as ``_row_bytes`` lays it."""
+    return [int.from_bytes(row.tobytes(), "little") for row in packed]
 
 
-def _is_symmetric(mat: np.ndarray) -> bool:
-    """Whether ``mat`` equals its transpose, checked one tile pair at a time."""
-    return all(np.array_equal(mat[up], mat[low].T) for up, low in _tile_pairs(len(mat)))
+def _transpose_bits(packed: np.ndarray) -> np.ndarray:
+    """Transpose of an n x n bit matrix packed as ``_row_bytes`` packs it.
+
+    Each 8 x 8 block (rows 8i..8i+7, byte column j) is gathered into one
+    uint64, transposed there by three delta swaps and written back as block
+    (j, i).  Every temporary has about n^2/8 bytes, as ``packed`` has; bits
+    past column n - 1 must be clear, and stay clear in the result.
+    """
+    n, nb = packed.shape
+    q, r = divmod(n, 8)
+    # blocks[i, j, k] is byte j of row 8i + k; rows from n on are zero
+    blocks = np.zeros((nb, nb, 8), dtype=np.uint8)
+    blocks[:q].transpose(0, 2, 1)[...] = packed[: 8 * q].reshape(q, 8, nb)
+    if r:
+        blocks[q, :, :r] = packed[8 * q :].T
+    x = blocks.view("<u8")[..., 0]
+    t = np.empty_like(x)
+    for mask, shift in _BLOCK_SWAPS:
+        np.right_shift(x, shift, out=t)
+        t ^= x
+        t &= mask
+        x ^= t
+        t <<= shift
+        x ^= t
+    del t
+    # byte k of word (i, j) is now bit row 8j + k of byte column i
+    out = np.ascontiguousarray(blocks.transpose(1, 2, 0)).reshape(8 * nb, nb)
+    return out[:n]
+
+
+def _symmetric_rows(packed: np.ndarray) -> list[int]:
+    """Rows of ``M | M.T`` for the n x n bit matrix M packed in ``packed``,
+    such as one triangle of an undirected graph's adjacency."""
+    both = _transpose_bits(packed)
+    both |= packed
+    return _rows_of(both)
 
 
 def new_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
@@ -195,8 +227,7 @@ def complement(g: Graph) -> Graph:
 
 def _pack_rows(mat: np.ndarray) -> list[int]:
     """Adjacency rows of a k x k bool matrix: bit j of row i is ``mat[i, j]``."""
-    packed = np.packbits(mat, axis=1, bitorder="little")
-    return [int.from_bytes(row.tobytes(), "little") for row in packed]
+    return _rows_of(np.packbits(mat, axis=1, bitorder="little"))
 
 
 def induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
@@ -218,9 +249,11 @@ def induced(g: Graph, s: Iterable[int]) -> tuple[Graph, tuple[int, ...]]:
 def gen_gnp(n: int, p: float, seed: int) -> Graph:
     """Erdos-Renyi G(n,p); deterministic for a given 64-bit seed.
 
-    Fills one n x n bool matrix and mirrors it in place, with no transposed
-    copy: it peaks at the matrix, its packed rows and the draw block, about
-    1.3 n^2 bytes (5 MB) at n = 2000.
+    Fills the upper triangle of one n x n bool matrix, packs it, frees it
+    and mirrors the packed bits: it peaks at the matrix, its packed rows and
+    the draw block, about 1.16 n^2 bytes (4.6 MB, tracemalloc) at n = 2000.
+    Filling it in row blocks peaked lower but made glibc trim and regrow
+    its heap, about 500 minor page faults per G(3000) where this makes none.
     """
     if not 0.0 <= p <= 1.0:
         raise ValueError(f"probability p={p} outside [0,1]")
@@ -242,5 +275,6 @@ def gen_gnp(n: int, p: float, seed: int) -> Graph:
             mat[i, j : j + take] = drawn[at : at + take]
             j += take
             at += take
-    _mirror(mat)
-    return Graph._trusted(n, _pack_rows(mat))
+    packed = np.packbits(mat, axis=1, bitorder="little")
+    del mat
+    return Graph._trusted(n, _symmetric_rows(packed))

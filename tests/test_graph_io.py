@@ -62,8 +62,9 @@ class TestGraph6:
         graphs = [random_graph(rng, n) for n in range(71)]
         # the size field grows from 1 to 4 bytes at n = 63
         graphs += [gen_gnp(n, p, n) for n in (62, 63) for p in (0.0, 0.5, 1.0)]
-        # the decoder mirrors its matrix in 256 x 256 tiles
-        graphs += [gen_gnp(n, 0.5, n) for n in (255, 256, 257, 513)]
+        # the mirror works in 8 x 8 bit blocks and the encoder unpacks 128
+        # rows at a time; 1001 is a multiple of neither 6 nor 8
+        graphs += [gen_gnp(n, 0.5, n) for n in (7, 8, 9, 65, 255, 256, 257, 513, 1001)]
         residues = {g.n * (g.n - 1) // 2 % 6 for g in graphs}
         # triangular numbers mod 6 take only these values
         assert residues == {n * (n - 1) // 2 % 6 for n in range(12)} == {0, 1, 3, 4}
@@ -80,7 +81,8 @@ class TestGraph6:
         assert text == reference_to_graph6(g)
         assert from_graph6(text) == reference_from_graph6(text) == g
 
-    @pytest.mark.parametrize("text", ["D?", "D ?{", "D?\x7f", "D\x7f{", "D?|", "~??~"])
+    # "D?A" sets only the first padding bit, bit npairs = 10
+    @pytest.mark.parametrize("text", ["D?", "D ?{", "D?\x7f", "D\x7f{", "D?|", "D?A", "~??~"])
     def test_errors_match_reference_codec(self, text):
         with pytest.raises(ParseError) as ref:
             reference_from_graph6(text)
@@ -111,9 +113,35 @@ class TestGraph6:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # matrix n^2, bit string n^2/2, input copies n^2/4 at the row loop;
-        # holding the bit string through the mirror and packing read 2.04 n^2
+        # matrix n^2 and bit string n^2/2 at the row loop; holding the bit
+        # string through the mirror and packing read 2.04 n^2
         assert peak < 1.85 * n * n
+
+    def test_decode_holds_no_matrix(self):
+        n = 2000
+        text = to_graph6(gen_gnp(n, 0.95, 0))
+        tracemalloc.start()
+        try:
+            from_graph6(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # bit string n^2/2, packed rows n^2/8 and a block of rows, about
+        # 0.75 n^2; filling a whole n x n matrix read 1.75 n^2
+        assert peak < 1.0 * n * n
+
+    def test_encode_holds_no_matrix(self):
+        n = 2000
+        g = gen_gnp(n, 0.95, 0)
+        tracemalloc.start()
+        try:
+            to_graph6(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the pair bits n^2/2 and a block of unpacked rows, about 0.63 n^2;
+        # joining one unpacked column per vertex read 1.31 n^2
+        assert peak < 0.8 * n * n
 
 
 class TestEdgeList:
@@ -147,6 +175,21 @@ class TestEdgeList:
     def test_endpoint_beyond_header(self):
         with pytest.raises(ParseError, match="exceeds"):
             read_graph(io.StringIO("n 2\n0 5\n"), "edge-list")
+
+    def test_negative_header_is_bad_vertex_count(self):
+        with pytest.raises(ParseError) as info:
+            read_graph(io.StringIO("n -3\n"), "edge-list")
+        assert str(info.value) == "bad vertex count '-3' (line 1)"
+        assert info.value.line == 1
+
+    def test_negative_n_rejected_before_parsing(self):
+        class Unread(io.StringIO):
+            def read(self, *args):
+                raise AssertionError("source read")
+
+        with pytest.raises(ValueError, match="nonnegative") as info:
+            read_graph(Unread(), "edge-list", n=-2)
+        assert not isinstance(info.value, ParseError)
 
     def test_comments_and_blanks_ignored(self):
         g = read_graph(io.StringIO("# a comment\n\n0 1\n"), "edge-list")

@@ -244,13 +244,26 @@ class TestGraphBasics:
             Graph(2, [0b10, 0b00])
 
     def test_asymmetric_rows_rejected_at_any_size(self):
-        # one-way edges in the first tile and in either block of an
-        # off-diagonal tile pair, named as the whole-matrix check names them
-        for n, u, v in [(600, 0, 1), (700, 300, 650), (700, 650, 300)]:
+        # one-way edges in the first 8 x 8 block, on either side of a block
+        # edge and in the last, partial blocks, named as the whole-matrix
+        # check names them
+        cases = [(600, 0, 1), (700, 300, 650), (700, 650, 300), (700, 8, 7),
+                 (700, 7, 8), (700, 699, 0), (700, 0, 699)]
+        for n, u, v in cases:
             rows = [0] * n
             rows[u] = 1 << v
             with pytest.raises(ValueError, match=rf"symmetric at \({u},{v}\)"):
                 Graph(n, rows)
+        # two one-way edges: the first in row-major order is named, where
+        # column-major order would name (650, 9)
+        rows = list(gen_gnp(700, 0.5, 5).rows)
+        for u, v in [(650, 9), (13, 200)]:
+            rows[u] |= 1 << v
+            rows[v] &= ~(1 << u)
+        mat = graphs._unpack_rows(700, rows)
+        assert tuple(np.argwhere(mat > mat.T)[0]) == (13, 200)
+        with pytest.raises(ValueError, match=r"symmetric at \(13,200\)"):
+            Graph(700, rows)
 
     def test_check_leaves_the_matrix_uncached(self):
         g = gen_gnp(600, 0.5, 1)
@@ -278,25 +291,35 @@ class TestGraphBasics:
             check_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a whole-matrix transpose would add a second n x n matrix: 2 n^2
-        assert gen_peak < 1.5 * n * n
-        assert check_peak < 1.5 * n * n
+        # generation frees its n x n bool matrix before it mirrors the
+        # packed bits, about 1.16 n^2; the check never unpacks the matrix,
+        # about 0.53 n^2 with the generated rows; mirroring the bool matrix
+        # read 1.28 n^2 and 1.13 n^2
+        assert gen_peak < 1.25 * n * n
+        assert check_peak < 0.7 * n * n
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 255, 256, 257, 511, 513, 700])
-def test_tile_passes_equal_whole_matrix_ops(n):
+def _packed(m: np.ndarray) -> np.ndarray:
+    return np.packbits(m, axis=1, bitorder="little")
+
+
+@pytest.mark.parametrize(
+    "n", [0, 1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 255, 256, 257, 700]
+)
+def test_bit_transpose_equals_matrix_transpose(n):
     rand = np.random.default_rng(n).random((n, n)) < 0.3
     upper = np.triu(rand, 1)
     sym = rand | rand.T
     cases = [rand, upper, upper.T, sym]
-    # one entry flipped in the last row or column of tiles (a partial one
-    # unless 256 divides n), on each side of the diagonal
-    for u, v in [(n - 1, 0), (0, n - 1)] if n >= 2 else []:
+    # one entry flipped in the last block row, the last block column (each
+    # a partial 8 x 8 block unless 8 divides n) and the last diagonal block
+    for u, v in [(n - 1, 0), (0, n - 1), (n - 1, n - 2)] if n >= 2 else []:
         flipped = sym.copy()
         flipped[u, v] ^= True
         cases.append(flipped)
     for m in cases:
-        assert graphs._is_symmetric(m) == np.array_equal(m, m.T)
-        mirrored = m.copy()
-        graphs._mirror(mirrored)
-        assert np.array_equal(mirrored, m | m.T)
+        t = graphs._transpose_bits(_packed(m))
+        assert np.array_equal(t, _packed(m.T))
+        # the constructor's check: the entries set in m and clear in m.T
+        assert np.array_equal(_packed(m) & ~t, _packed(m > m.T))
+        assert graphs._symmetric_rows(_packed(m)) == graphs._pack_rows(m | m.T)
