@@ -10,7 +10,6 @@ with the paper's constants c1, c2 and C fixed in ``cliquesub.pipeline``.
 """
 
 from cliquesub import (
-    alpha_exact,
     check_ratio_induction_step,
     gen_gnp,
     paper_hypotheses,
@@ -24,7 +23,9 @@ print("  the paper's hypotheses fail at desk scale")
 print("=" * 64)
 
 g = gen_gnp(2000, 0.95, 1)
-alpha = alpha_exact(g, 500_000)
+# the dense route searches for alpha once and reports it with its certificate
+report = sigma_lower_dense(g, seed=0, alpha_budget=500_000)
+alpha = report.alpha
 hypotheses = paper_hypotheses(g.n, g.m, alpha.value if alpha.exact else None)
 for case in ("dense", "sparse"):
     print(f"\n{case} case:")
@@ -36,7 +37,6 @@ print("=" * 64)
 print("  the pipeline constructs")
 print("=" * 64)
 
-report = sigma_lower_dense(g, alpha, seed=0)
 print(f"\nG(2000, 0.95): certified subdivision order {report.claimed_sigma_lower}")
 print("transcript:")
 for entry in report.transcript:

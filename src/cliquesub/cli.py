@@ -133,7 +133,7 @@ def cli_main(argv: list[str] | None = None) -> int:
             budget = args.budget_nodes
             try:
                 if args.case == "dense":
-                    report = sigma_lower_dense(g, None, args.seed, alpha_budget=budget)
+                    report = sigma_lower_dense(g, args.seed, alpha_budget=budget)
                 elif args.case == "sparse":
                     report = sigma_lower_sparse(g, 0, args.seed, alpha_budget=budget)
                 else:

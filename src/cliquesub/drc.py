@@ -19,7 +19,7 @@ from typing import Iterable, Optional
 
 import numpy as np
 
-from .graphs import Graph, _unpack_rows, bits, edge_density, vertex_mask
+from .graphs import Graph, _unpack_rows, edge_density, vertex_mask
 from .subdivision import _path_interiors
 
 __all__ = [
@@ -60,17 +60,6 @@ class DrcCertificate:
     bad_pair_count: int
     u_set: tuple[int, ...]
     good_threshold: int
-
-    def to_json_dict(self) -> dict:
-        return {
-            "hub": self.hub,
-            "good_threshold": self.good_threshold,
-            "bad_pair_count": self.bad_pair_count,
-            "x_size": len(self.x_set),
-            "u_set": list(self.u_set),
-            "v1": list(self.v1),
-            "v2": list(self.v2),
-        }
 
 
 # Bipartition draws before drc_partition gives up.

@@ -2,16 +2,16 @@
 certified subdivision bounds, at the edge probability that maximizes the
 coloring-to-subdivision gap.
 
-Each (n, seed) cell produces one record.  A sound chromatic lower bound
-needs the exact independence number (ceil(n/alpha)); when the oracle budget
-runs out the record falls back to a greedy clique, which is always sound,
-and tags itself heuristic.  A cell searches for alpha once, within
-``SweepBudgets.alpha_nodes``, and hands the result to the pipeline, whose
-alpha budget is the same.  A cell searches for neither the
-clique number nor a subdivision upper bound: a record carries one
-(``sigma_upper_t``, and with it ``ratio_lower``) only when the certified-gap
-search, which computes the clique-counting certificate from an exact clique
-number, passes its certificate in.
+Each (n, seed) cell is a function of its graph and produces one record.
+A sound chromatic lower bound needs the exact independence number
+(ceil(n/alpha)); when the oracle budget runs out the record falls back to a
+greedy clique, which is always sound, and tags itself heuristic.  alpha is
+searched for once per graph, by the pipeline within
+``SweepBudgets.alpha_nodes``, and the cell reads it from the pipeline's
+report.  A cell searches for neither the clique number nor a subdivision
+upper bound: only the certified-gap search, which computes the
+clique-counting certificate from an exact clique number, adds one
+(``sigma_upper_t``, and with it ``ratio_lower``) to a cell's record.
 """
 
 from __future__ import annotations
@@ -19,15 +19,12 @@ from __future__ import annotations
 import io
 import json
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields, replace
 from typing import Iterable, Optional, Sequence
 
-from .graphs import gen_gnp
+from .graphs import Graph, gen_gnp
 from .oracles import (
     DEFAULT_BUDGET,
-    SigmaUpperCert,
-    Tagged,
-    alpha_exact,
     dsatur_upper,
     greedy_clique_lower,
     omega_exact,
@@ -57,7 +54,7 @@ TINY_SIGMA_NODES = 200_000
 @dataclass(frozen=True)
 class SweepBudgets:
     """Oracle node budgets.  ``alpha_nodes`` bounds the one alpha search of
-    a graph, in the sweep and in the pipeline alike.  ``omega_nodes`` bounds
+    a graph, which its cell's pipeline runs.  ``omega_nodes`` bounds
     the clique-number search of :func:`find_certified_ratio_violation` only;
     sweep cells never search for the clique number."""
 
@@ -68,7 +65,7 @@ class SweepBudgets:
 @dataclass(frozen=True)
 class ExperimentRecord:
     """One sweep cell.  ``sigma_upper_t`` is a certified subdivision upper
-    bound (sigma < t), present only when the cell was given one;
+    bound (sigma < t), present only when the gap search certified one;
     ``ratio_lower`` is a certified lower bound on the coloring/subdivision
     ratio (present only when both sides are exact);
     ``ratio_point`` compares the achieved coloring to the certified
@@ -90,33 +87,22 @@ class ExperimentRecord:
         return asdict(self)
 
 
-def _cell(
-    n: int,
-    p: float,
-    seed: int,
-    budgets: SweepBudgets,
-    alpha: Optional[Tagged] = None,
-    sigma_upper: Optional[SigmaUpperCert] = None,
-) -> ExperimentRecord:
-    """The record of G(n, p, seed).  ``alpha``, when given, is this graph's
-    ``alpha_exact`` result within ``budgets.alpha_nodes``; ``sigma_upper``
-    is a subdivision upper certificate for this graph, the only source of
-    ``sigma_upper_t``.  The pipeline runs with the same alpha budget, so it
-    takes this alpha as its own."""
-    g = gen_gnp(n, p, seed)
+def _cell(g: Graph, p: float, seed: int, budgets: SweepBudgets) -> ExperimentRecord:
+    """The record of ``g``, drawn as G(n, p, seed): DSATUR's colouring above,
+    the pipeline's certificate below, and ceil(n/alpha) from the alpha that
+    the pipeline searched for within ``budgets.alpha_nodes`` and reports.
+    The record carries no subdivision upper bound."""
+    n = g.n
     chi_upper, _ = dsatur_upper(g)
-    if alpha is None:
-        alpha = alpha_exact(g, budgets.alpha_nodes)
-    if alpha.exact:
-        chi_lower = -(-n // alpha.value)
+    report = sigma_lower_auto(g, seed, alpha_budget=budgets.alpha_nodes)
+    if report.alpha.exact:
+        chi_lower = -(-n // report.alpha.value)
         chi_tag = "exact"
     else:
         # ceil(n/alpha) is unsound for a heuristic alpha; a found clique
         # is always a valid chromatic lower bound
         chi_lower = max(1, greedy_clique_lower(g).value)
         chi_tag = "heuristic"
-    sigma_upper_t = None if sigma_upper is None else sigma_upper.t
-    report = sigma_lower_auto(g, seed, alpha, alpha_budget=budgets.alpha_nodes)
     if report.certificate is not None and report.certificate.verified:
         sigma_lower = max(1, report.certificate.order)
     else:
@@ -126,15 +112,6 @@ def _cell(
         tiny, _ = sigma_exact_value(g, TINY_SIGMA_NODES)
         if tiny.tag != "exceeded":
             sigma_lower = max(sigma_lower, tiny.value)
-    if sigma_upper_t is not None and sigma_lower >= sigma_upper_t:
-        raise AssertionError(
-            "constructive lower bound met the counting upper certificate"
-        )
-    ratio_lower = (
-        chi_lower / sigma_upper_t
-        if (chi_tag == "exact" and sigma_upper_t is not None)
-        else None
-    )
     return ExperimentRecord(
         n=n,
         p=p,
@@ -143,8 +120,8 @@ def _cell(
         chi_lower=chi_lower,
         chi_lower_tag=chi_tag,
         sigma_lower=sigma_lower,
-        sigma_upper_t=sigma_upper_t,
-        ratio_lower=ratio_lower,
+        sigma_upper_t=None,
+        ratio_lower=None,
         ratio_point=chi_upper / sigma_lower,
         reference=math.sqrt(n) / math.log(n) if n > 1 else 0.0,
     )
@@ -161,7 +138,7 @@ def run_ratio_sweep(
     _check_sizes(ns, seeds_per_n)
     budgets = budgets or SweepBudgets()
     return [
-        _cell(n, p, base_seed + i, budgets)
+        _cell(gen_gnp(n, p, base_seed + i), p, base_seed + i, budgets)
         for n in sorted(set(ns))
         for i in range(seeds_per_n)
     ]
@@ -211,11 +188,15 @@ def find_certified_ratio_violation(
     """Search for a fully certified chi > sigma instance: exact ceil(n/alpha)
     strictly above the counting certificate's threshold.
 
-    Escalates through ``ns`` and returns (record, log).  The record is the
-    sweep cell of the certified graph, built with this search's alpha and
-    counting certificate, so it carries ``sigma_upper_t``.  When no instance
-    certifies within budget the record is None and the log reports the best
-    achieved gap instead; the caller is expected to surface that log.
+    Escalates through ``ns`` and returns (record, log).  Each graph's record
+    is its sweep cell, whose alpha is the only alpha searched for; where
+    that alpha is exact, the search adds the counting certificate from an
+    exact clique number, and a certificate at or below the cell's
+    constructive lower bound raises.  The returned record is the certified
+    graph's cell with ``sigma_upper_t`` and ``ratio_lower`` set.  When no
+    instance certifies within budget the record is None and the log reports
+    the best achieved gap instead; the caller is expected to surface that
+    log.
     """
     _check_sizes(ns, seeds_per_n)
     budgets = budgets or SweepBudgets()
@@ -226,11 +207,11 @@ def find_certified_ratio_violation(
         for i in range(seeds_per_n):
             seed = base_seed + i
             g = gen_gnp(n, p, seed)
-            alpha = alpha_exact(g, budgets.alpha_nodes)
-            if not alpha.exact:
+            record = _cell(g, p, seed, budgets)
+            if record.chi_lower_tag != "exact":
                 log.append(f"n={n} seed={seed}: alpha not exact within budget")
                 continue
-            chi_lower = -(-n // alpha.value)
+            chi_lower = record.chi_lower
             omega = omega_exact(g, budgets.omega_nodes)
             if not omega.exact:
                 log.append(f"n={n} seed={seed}: omega not exact within budget")
@@ -239,6 +220,10 @@ def find_certified_ratio_violation(
             if cert is None:
                 log.append(f"n={n} seed={seed}: no counting certificate below n")
                 continue
+            if record.sigma_lower >= cert.t:
+                raise AssertionError(
+                    "constructive lower bound met the counting upper certificate"
+                )
             gap = chi_lower / cert.t
             if best_gap is None or gap > best_gap:
                 best_gap = gap
@@ -248,7 +233,7 @@ def find_certified_ratio_violation(
                 )
             if chi_lower > cert.t:
                 log.append(f"CERTIFIED chi > sigma at {best_desc}")
-                return _cell(n, p, seed, budgets, alpha, cert), log
+                return replace(record, sigma_upper_t=cert.t, ratio_lower=gap), log
     if best_gap is not None:
         log.append(f"no certified violation within budget; best gap {best_desc}")
     else:

@@ -42,6 +42,7 @@ class ParseError(ValueError):
 
 def _parse_edge_list(text: str, n: int | None) -> Graph:
     declared = n
+    header_seen = False
     edges = []
     max_seen = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -52,14 +53,21 @@ def _parse_edge_list(text: str, n: int | None) -> Graph:
         if parts[0] == "n":
             if lineno != 1 and edges:
                 raise ParseError("header line after edges", line=lineno)
+            if header_seen:
+                raise ParseError("second header line", line=lineno)
             if len(parts) != 2:
                 raise ParseError("header must be 'n <count>'", line=lineno)
             try:
-                declared = int(parts[1])
+                count = int(parts[1])
             except ValueError:
-                declared = -1
-            if declared < 0:
+                count = -1
+            if count < 0:
                 raise ParseError(f"bad vertex count {parts[1]!r}", line=lineno)
+            if n is not None and count != n:
+                raise ParseError(
+                    f"header declares {count} vertices, caller declared {n}", line=lineno
+                )
+            declared, header_seen = count, True
             continue
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)

@@ -101,6 +101,9 @@ class BoundReport:
     certificate: Optional[SubdivisionCertificate] = None
     transcript: list[dict] = field(default_factory=list)
     flags: list[str] = field(default_factory=list)
+    # the route's own alpha_exact result, None where an empty graph skipped
+    # the search; left out of the JSON, whose transcript records alpha
+    alpha: Optional[Tagged] = None
 
     def to_json_dict(self) -> dict:
         return {
@@ -130,15 +133,6 @@ def _cited_report(g: Graph, transcript: list[dict], flags: list[str]) -> BoundRe
     if t <= 1:
         return _single_vertex_report(g, transcript, flags)
     return BoundReport(t, PROV_CITED, None, transcript, flags + ["non-certified"])
-
-
-def _alpha_or_search(g: Graph, alpha: Optional[Tagged], budget: int) -> Tagged:
-    """``alpha`` as given, or ``alpha_exact(g, budget)`` when it is None."""
-    if alpha is None:
-        return alpha_exact(g, budget)
-    if not isinstance(alpha, Tagged):
-        raise TypeError(f"alpha must be a Tagged oracle result or None, not {alpha!r}")
-    return alpha
 
 
 def sigma_lower_density_cited(g: Graph) -> BoundReport:
@@ -231,11 +225,7 @@ def _build(
 
 
 def sigma_lower_dense(
-    g: Graph,
-    alpha: Optional[Tagged],
-    seed: int = 0,
-    *,
-    alpha_budget: int = DEFAULT_BUDGET,
+    g: Graph, seed: int = 0, *, alpha_budget: int = DEFAULT_BUDGET
 ) -> BoundReport:
     """Dense-case constructive bound: extract, then build.
 
@@ -243,34 +233,37 @@ def sigma_lower_dense(
     d^2*n >= 1600 must hold, and the report carries the best certificate
     the greedy builder achieves.
 
-    ``alpha`` of None is searched for here within ``alpha_budget``, after
-    the gate: a refusal searches for no alpha.
+    alpha is searched for once, within ``alpha_budget``, after the gate: a
+    refusal searches for none.  The report carries the result as ``alpha``.
     """
     n = g.n
     d = edge_density(g)
     complete = 2 * g.m == n * (n - 1)
-    # the gate reads only n and m, so it refuses before any alpha search;
-    # a complete graph takes the clique shortcut below and needs no gate
+    # the gate reads only n and m; a complete graph takes the clique
+    # shortcut below and needs no gate
     if not complete and d * d * n < 1600:
         raise PreconditionRefusal(
             DRC_DENSITY_REQUIREMENT, f"d^2*n = {float(d * d * n):.6g}"
         )
-    alpha = _alpha_or_search(g, alpha, alpha_budget)
+    alpha = alpha_exact(g, alpha_budget)
     flags = [] if alpha.exact else ["heuristic-alpha"]
     transcript: list[dict] = [
         {"step": "dense-entry", "n": n, "m": g.m, "alpha": alpha.value, "seed": seed}
     ]
     if n == 0:
-        return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
-    if complete:
+        report = BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
+    elif complete:
         cert = build_subdivision(g, range(n), ())
         assert isinstance(cert, SubdivisionCertificate)
         verify_subdivision(g, cert, exact_length=4)
         transcript.append({"step": "clique-shortcut", "order": n})
-        return BoundReport(n, PROV_CONSTRUCTIVE, cert, transcript, flags)
-    u_set = _extract(g, range(n), seed, transcript)
-    pool_mask = g.full_mask() & ~vertex_mask(u_set)
-    return _build(g, u_set, pool_mask, transcript, flags)
+        report = BoundReport(n, PROV_CONSTRUCTIVE, cert, transcript, flags)
+    else:
+        u_set = _extract(g, range(n), seed, transcript)
+        pool_mask = g.full_mask() & ~vertex_mask(u_set)
+        report = _build(g, u_set, pool_mask, transcript, flags)
+    report.alpha = alpha
+    return report
 
 
 def _degree_filter(g: Graph) -> list[int]:
@@ -281,12 +274,7 @@ def _degree_filter(g: Graph) -> list[int]:
 
 
 def sigma_lower_sparse(
-    g: Graph,
-    depth: int = 0,
-    seed: int = 0,
-    alpha: Optional[Tagged] = None,
-    *,
-    alpha_budget: int = DEFAULT_BUDGET,
+    g: Graph, depth: int = 0, seed: int = 0, *, alpha_budget: int = DEFAULT_BUDGET
 ) -> BoundReport:
     """Sparse-case bound: degree filter, independent set, restriction, then
     a recursion when the restricted subgraph loses a density factor 10, or
@@ -295,26 +283,35 @@ def sigma_lower_sparse(
     Mirrors the proof's case analysis; every branch decision lands in the
     transcript.
 
-    ``alpha``, when given, must equal ``alpha_exact(g, alpha_budget)``
-    (value, witness, tag and nodes); it is searched for here otherwise.
-    When the degree filter keeps every vertex, the filtered graph is g and
-    this result also serves as its independent set.
+    alpha is searched for once at entry, within ``alpha_budget``, and the
+    report carries the result as ``alpha``.  When the degree filter keeps
+    every vertex, the filtered graph is g and this result also serves as
+    its independent set; a smaller filtered graph, and a recursion's
+    subgraph, each get their own search.
     """
     n, m = g.n, g.m
-    d = edge_density(g)
     transcript: list[dict] = [
         {"step": "sparse-entry", "depth": depth, "n": n, "m": m, "seed": seed}
     ]
-    flags: list[str] = []
     if n == 0:
-        return BoundReport(0, PROV_TRIVIAL, None, transcript, flags)
-
-    alpha = _alpha_or_search(g, alpha, alpha_budget)
-    a_val = alpha.value
-    if not alpha.exact:
-        flags.append("heuristic-alpha")
-    transcript[0]["alpha"] = a_val
+        return BoundReport(0, PROV_TRIVIAL, None, transcript, [])
+    alpha = alpha_exact(g, alpha_budget)
+    transcript[0]["alpha"] = alpha.value
     transcript[0]["alpha_tag"] = alpha.tag
+    report = _sparse_cases(g, alpha, depth, seed, alpha_budget, transcript)
+    report.alpha = alpha
+    return report
+
+
+def _sparse_cases(
+    g: Graph, alpha: Tagged, depth: int, seed: int, alpha_budget: int, transcript: list[dict]
+) -> BoundReport:
+    """The case analysis of :func:`sigma_lower_sparse` on a nonempty g
+    whose alpha is searched."""
+    n, m = g.n, g.m
+    d = edge_density(g)
+    a_val = alpha.value
+    flags = [] if alpha.exact else ["heuristic-alpha"]
 
     # base case: density below n^(-1/4), exactly 16*m^4 < n^3*(n-1)^4
     if 16 * m**4 < n**3 * (n - 1) ** 4:
@@ -418,29 +415,25 @@ def sigma_lower_sparse(
 
 
 def sigma_lower_auto(
-    g: Graph,
-    seed: int = 0,
-    alpha: Optional[Tagged] = None,
-    *,
-    alpha_budget: int = DEFAULT_BUDGET,
+    g: Graph, seed: int = 0, *, alpha_budget: int = DEFAULT_BUDGET
 ) -> BoundReport:
-    """Dispatch: dense extraction when its gate holds, sparse otherwise.
-
-    ``alpha``, when given, must equal ``alpha_exact(g, alpha_budget)``
-    (value, witness, tag and nodes); it is searched for here otherwise, and
-    either way handed to the route taken.
+    """Dispatch on n and m alone.  A complete graph (exactly the graphs whose
+    exact alpha is at most 1) takes the dense route; so does a graph with
+    d^2*n >= 1600, behind an ``auto`` transcript step; every other graph
+    takes the sparse route.  The route taken searches for alpha within
+    ``alpha_budget`` and reports it as ``alpha``.
     """
-    if g.n == 0:
+    n = g.n
+    if n == 0:
         return BoundReport(0, PROV_TRIVIAL)
-    alpha = _alpha_or_search(g, alpha, alpha_budget)
-    if alpha.exact and alpha.value <= 1:
-        return sigma_lower_dense(g, alpha, seed)
+    if 2 * g.m == n * (n - 1):
+        return sigma_lower_dense(g, seed, alpha_budget=alpha_budget)
     d = edge_density(g)
-    if d * d * g.n >= 1600:
-        report = sigma_lower_dense(g, alpha, seed)
+    if d * d * n >= 1600:
+        report = sigma_lower_dense(g, seed, alpha_budget=alpha_budget)
         report.transcript.insert(0, {"step": "auto", "route": "dense"})
         return report
-    report = sigma_lower_sparse(g, 0, seed, alpha, alpha_budget=alpha_budget)
+    report = sigma_lower_sparse(g, 0, seed, alpha_budget=alpha_budget)
     report.transcript.insert(0, {"step": "auto", "route": "sparse"})
     return report
 

@@ -275,11 +275,11 @@ def test_criterion_8_mode_fidelity():
         n, m_at = 1681, 1_377_600
         assert 4 * m_at**2 == 1600 * n * (n - 1) ** 2
         g_at = new_graph(n, _lex_prefix_edges(n, m_at))
-        rep = sigma_lower_dense(g_at, None, seed=0)
+        rep = sigma_lower_dense(g_at, seed=0)
         assert rep.claimed_sigma_lower >= 1
         g_below = new_graph(n, _lex_prefix_edges(n, m_at - 1))
         with pytest.raises(PreconditionRefusal, match="1600"):
-            sigma_lower_dense(g_below, None, seed=0)
+            sigma_lower_dense(g_below, seed=0)
 
         # sparse branch boundaries: alpha vs n/16 (32 vertices, alpha 2 vs 3)
         from test_pipeline import cocktail_party, triple_free_complement

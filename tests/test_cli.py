@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from cliquesub import experiments, pipeline
+from cliquesub import pipeline
 from cliquesub.cli import cli_main
 from cliquesub.graph_io import read_graph, write_graph
 from cliquesub.oracles import alpha_exact
@@ -166,15 +166,14 @@ class TestSweep:
         assert captured.err.startswith("error: ")
 
     def test_budget_bounds_the_one_alpha_search(self, capsys, monkeypatch):
-        # --budget-nodes is the budget of the cell's search and of the
-        # pipeline's, so a cell searches once, within it
+        # --budget-nodes is the budget of the cell's one alpha search, which
+        # its pipeline runs
         calls = []
 
         def counted(g, budget):
             calls.append((g.n, budget))
             return alpha_exact(g, budget)
 
-        monkeypatch.setattr(experiments, "alpha_exact", counted)
         monkeypatch.setattr(pipeline, "alpha_exact", counted)
         assert run("sweep", "--n", "400", "--budget-nodes", "50") == 0
         assert calls == [(400, 50)]

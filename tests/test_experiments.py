@@ -14,7 +14,7 @@ from cliquesub.experiments import (
     run_ratio_sweep,
 )
 from cliquesub.graphs import gen_gnp
-from cliquesub.oracles import SigmaUpperCert, alpha_exact, omega_exact, sigma_upper_cert
+from cliquesub.oracles import SigmaUpperCert, alpha_exact
 
 
 class TestRecords:
@@ -117,7 +117,8 @@ class TestViolationSearch:
 class TestAlphaReuse:
     # (chi_upper, chi_lower, chi_lower_tag, sigma_lower, sigma_upper_t) on
     # G(200, 1 - e^-2, seed), measured when a cell searched for alpha four
-    # times: in the cell, in sigma_lower_auto, at sparse entry and on g'
+    # times: in the cell, in sigma_lower_auto, at sparse entry and on g'.
+    # Every search now runs in the pipeline, so that is where they are counted.
     PINNED = {
         0: (67, 40, "exact", 19, None),
         1: (65, 40, "exact", 19, None),
@@ -127,14 +128,13 @@ class TestAlphaReuse:
 
     @staticmethod
     def count_alpha_searches(monkeypatch) -> list[int]:
-        """Orders of the graphs that the sweep and the pipeline search."""
+        """Orders of the graphs that the pipeline searches."""
         calls = []
 
         def counted(g, budget):
             calls.append(g.n)
             return alpha_exact(g, budget)
 
-        monkeypatch.setattr(experiments, "alpha_exact", counted)
         monkeypatch.setattr(pipeline, "alpha_exact", counted)
         return calls
 
@@ -148,8 +148,7 @@ class TestAlphaReuse:
 
     @pytest.mark.parametrize("alpha_nodes", [5, 100_000])
     def test_one_search_with_any_budget(self, monkeypatch, alpha_nodes):
-        # the pipeline's alpha budget is the sweep's, so the cell's alpha is
-        # the pipeline's own whether or not the search ran out
+        # the cell reads the pipeline's alpha whether or not the search ran out
         calls = self.count_alpha_searches(monkeypatch)
         budgets = SweepBudgets(alpha_nodes=alpha_nodes, omega_nodes=2_000)
         (r,) = run_ratio_sweep([200], OPTIMAL_P, 1, budgets)
@@ -161,9 +160,12 @@ class TestAlphaReuse:
 
 
 class TestUpperCertificateHandedIn:
-    """A cell never searches for omega; its sigma upper bound, and with it
-    ``ratio_lower``, comes only from a certificate passed in by the gap
-    search."""
+    """A cell never searches for omega; a sigma upper bound, and with it
+    ``ratio_lower``, comes only from the certificate that the gap search
+    adds to a cell's record."""
+
+    # G(80, 1 - e^-2, 0): ceil(n/alpha) = 20 and sigma_lower = 8
+    G80 = gen_gnp(80, OPTIMAL_P, 0)
 
     @staticmethod
     def count(monkeypatch, module, name) -> list[int]:
@@ -177,50 +179,47 @@ class TestUpperCertificateHandedIn:
         monkeypatch.setattr(module, name, counted)
         return calls
 
+    @staticmethod
+    def certify_with(monkeypatch, t: int) -> None:
+        """Make the gap search's counting certificate read sigma < t."""
+        fake = SigmaUpperCert(t, 2, 0, t, 80)
+        monkeypatch.setattr(experiments, "sigma_upper_cert", lambda g, omega: fake)
+
     def test_cell_searches_no_omega(self, monkeypatch):
         calls = self.count(monkeypatch, experiments, "omega_exact")
-        r = experiments._cell(200, OPTIMAL_P, 0, SweepBudgets())
+        r = experiments._cell(gen_gnp(200, OPTIMAL_P, 0), OPTIMAL_P, 0, SweepBudgets())
         assert calls == []
         assert (r.sigma_upper_t, r.ratio_lower) == (None, None)
 
-    def test_certificate_sets_upper_fields(self):
-        g = gen_gnp(40, OPTIMAL_P, 0)
-        cert = sigma_upper_cert(g, omega_exact(g))
-        assert cert is not None
-        plain = experiments._cell(40, OPTIMAL_P, 0, SweepBudgets())
-        r = experiments._cell(
-            40, OPTIMAL_P, 0, SweepBudgets(), sigma_upper=cert
-        )
-        assert r.chi_lower_tag == "exact"
-        assert r.sigma_upper_t == cert.t
-        assert r.ratio_lower == r.chi_lower / cert.t
-        assert r == ExperimentRecord(
-            **{**plain.to_json_dict(), "sigma_upper_t": cert.t, "ratio_lower": r.ratio_lower}
+    def test_certificate_sets_upper_fields(self, monkeypatch):
+        plain = experiments._cell(self.G80, OPTIMAL_P, 0, SweepBudgets())
+        assert (plain.chi_lower, plain.sigma_lower) == (20, 8)
+        self.certify_with(monkeypatch, 10)
+        rec, log = find_certified_ratio_violation([80])
+        assert log[-1].startswith("CERTIFIED")
+        assert rec == ExperimentRecord(
+            **{**plain.to_json_dict(), "sigma_upper_t": 10, "ratio_lower": 20 / 10}
         )
 
-    def test_lower_bound_meeting_the_certificate_raises(self):
-        r = experiments._cell(80, OPTIMAL_P, 0, SweepBudgets())
-        assert r.sigma_lower > 1
-        fake = SigmaUpperCert(r.sigma_lower, 2, 0, r.sigma_lower, 80)
+    def test_lower_bound_meeting_the_certificate_raises(self, monkeypatch):
+        plain = experiments._cell(self.G80, OPTIMAL_P, 0, SweepBudgets())
+        assert plain.sigma_lower > 1
+        self.certify_with(monkeypatch, plain.sigma_lower)
         with pytest.raises(AssertionError, match="met the counting upper"):
-            experiments._cell(
-                80, OPTIMAL_P, 0, SweepBudgets(), sigma_upper=fake
-            )
+            find_certified_ratio_violation([80])
 
     def test_gap_search_searches_alpha_once_per_graph(self, monkeypatch):
-        alpha_calls = self.count(monkeypatch, experiments, "alpha_exact")
-        pipeline_calls = self.count(monkeypatch, pipeline, "alpha_exact")
+        calls = self.count(monkeypatch, pipeline, "alpha_exact")
         rec, _ = find_certified_ratio_violation([40, 60], seeds_per_n=2)
         assert rec is None
-        assert alpha_calls == [40, 40, 60, 60] and pipeline_calls == []
+        assert calls == [40, 40, 60, 60]
 
         # a certificate below ceil(n/alpha) = 20 and above sigma_lower = 8 on
         # G(80, 1 - e^-2, 0): the search returns the record of that graph
-        alpha_calls.clear()
-        fake = SigmaUpperCert(10, 2, 0, 10, 80)
-        monkeypatch.setattr(experiments, "sigma_upper_cert", lambda g, omega: fake)
+        calls.clear()
+        self.certify_with(monkeypatch, 10)
         rec, log = find_certified_ratio_violation([80])
-        assert alpha_calls == [80] and pipeline_calls == []
+        assert calls == [80]
         assert log[-1].startswith("CERTIFIED")
         assert (rec.n, rec.seed, rec.chi_lower, rec.sigma_lower) == (80, 0, 20, 8)
         assert (rec.sigma_upper_t, rec.ratio_lower) == (10, 2.0)

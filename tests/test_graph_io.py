@@ -176,6 +176,22 @@ class TestEdgeList:
         with pytest.raises(ParseError, match="exceeds"):
             read_graph(io.StringIO("n 2\n0 5\n"), "edge-list")
 
+    def test_header_disagreeing_with_caller_rejected(self):
+        with pytest.raises(ParseError) as info:
+            read_graph(io.StringIO("n 3\n0 1\n"), "edge-list", n=5)
+        assert str(info.value) == "header declares 3 vertices, caller declared 5 (line 1)"
+        assert info.value.line == 1
+
+    def test_header_agreeing_with_caller_reads(self):
+        g = read_graph(io.StringIO("# n first\nn 5\n0 1\n"), "edge-list", n=5)
+        assert g.n == 5 and sorted(g.edges()) == [(0, 1)]
+
+    def test_second_header_rejected(self):
+        with pytest.raises(ParseError) as info:
+            read_graph(io.StringIO("n 3\nn 4\n0 1\n"), "edge-list")
+        assert str(info.value) == "second header line (line 2)"
+        assert info.value.line == 2
+
     def test_negative_header_is_bad_vertex_count(self):
         with pytest.raises(ParseError) as info:
             read_graph(io.StringIO("n -3\n"), "edge-list")

@@ -113,7 +113,7 @@ def route_reports():
     return {
         "sparse": (sparse_g, sigma_lower_sparse(sparse_g, seed=1, alpha_budget=120_000)),
         "recursion": (recursion_g, sigma_lower_sparse(recursion_g)),
-        "dense": (dense_g, sigma_lower_dense(dense_g, alpha_exact(dense_g, 500_000), seed=5)),
+        "dense": (dense_g, sigma_lower_dense(dense_g, seed=5, alpha_budget=500_000)),
     }
 
 
@@ -125,25 +125,14 @@ class TestDense:
 
     def test_clique_shortcut(self):
         g = complete(80)
-        rep = sigma_lower_dense(g, None)
+        rep = sigma_lower_dense(g)
         assert rep.claimed_sigma_lower == 80
         assert rep.certificate.verified and rep.certificate.order == 80
-
-    def test_bare_int_alpha_rejected(self):
-        # an int was once reported as an exact alpha without a check
-        g = gen_gnp(2000, 0.95, 0)
-        for alpha in (999, -3):
-            with pytest.raises(TypeError, match="Tagged"):
-                sigma_lower_dense(g, alpha)
-        with pytest.raises(TypeError, match="Tagged"):
-            sigma_lower_sparse(cycle(5), alpha=2)
-        with pytest.raises(TypeError, match="Tagged"):
-            sigma_lower_auto(cycle(5), alpha=2)
 
     def test_practical_gate(self):
         g = gen_gnp(200, 0.5, 1)  # d^2*n ~ 50, far below the gate
         with pytest.raises(PreconditionRefusal, match="1600"):
-            sigma_lower_dense(g, alpha_exact(g))
+            sigma_lower_dense(g)
 
     def test_practical_gate_refuses_before_alpha(self, monkeypatch):
         calls = []
@@ -154,10 +143,10 @@ class TestDense:
 
         monkeypatch.setattr(pipeline, "alpha_exact", counted)
         with pytest.raises(PreconditionRefusal, match="1600"):
-            sigma_lower_dense(gen_gnp(200, 0.5, 1), None)
+            sigma_lower_dense(gen_gnp(200, 0.5, 1))
         assert calls == []
         # a complete graph below the gate still takes the clique shortcut
-        rep = sigma_lower_dense(complete(30), None)
+        rep = sigma_lower_dense(complete(30))
         assert rep.claimed_sigma_lower == 30 and calls == [30]
 
     def test_practical_end_to_end_regression(self, route_reports):
@@ -175,9 +164,8 @@ class TestDense:
 
     def test_deterministic_reports(self):
         g = gen_gnp(1800, 0.98, 11)
-        alpha = alpha_exact(g, 500_000)
-        a = sigma_lower_dense(g, alpha, seed=5)
-        b = sigma_lower_dense(g, alpha, seed=5)
+        a = sigma_lower_dense(g, seed=5, alpha_budget=500_000)
+        b = sigma_lower_dense(g, seed=5, alpha_budget=500_000)
         assert json.dumps(a.to_json_dict()) == json.dumps(b.to_json_dict())
 
 
@@ -287,9 +275,8 @@ class TestSparseBranches:
         assert first_failing(sparse)[0] == REQ_SPARSE_D
 
     def test_given_alpha_still_searches_a_smaller_filtered_graph(self, monkeypatch):
+        # the route searches g at entry, then the smaller filtered graph
         g = hub_periphery_graph()  # the degree filter keeps 400 of 500
-        alpha = alpha_exact(g)
-        expected = sigma_lower_sparse(g).to_json_dict()
         searched = []
 
         def counted(h, budget):
@@ -297,8 +284,9 @@ class TestSparseBranches:
             return alpha_exact(h, budget)
 
         monkeypatch.setattr(pipeline, "alpha_exact", counted)
-        assert sigma_lower_sparse(g, alpha=alpha).to_json_dict() == expected
-        assert searched[0] == 400 and 500 not in searched
+        rep = sigma_lower_sparse(g)
+        assert searched[:2] == [500, 400] and searched.count(500) == 1
+        assert rep.alpha == alpha_exact(g)
 
     def test_recursion_terminates_with_depth_cap(self):
         g = gen_gnp(900, 0.4, 4)
@@ -322,12 +310,10 @@ class TestAuto:
         rep = sigma_lower_auto(g)
         assert rep.transcript[0] == {"step": "auto", "route": "sparse"}
 
-    def test_given_alpha_gives_the_same_report(self):
-        for seed in (0, 1):
-            g = gen_gnp(200, OPTIMAL_P, seed)
-            alpha = alpha_exact(g)
-            with_alpha = sigma_lower_auto(g, seed, alpha).to_json_dict()
-            assert with_alpha == sigma_lower_auto(g, seed).to_json_dict()
+    def test_complete_graph_takes_the_dense_route_without_an_auto_step(self):
+        rep = sigma_lower_auto(complete(30))
+        assert rep.transcript[0]["step"] == "dense-entry"
+        assert rep.claimed_sigma_lower == 30
 
     def test_small_graph_bounds_respect_exact_sigma(self, rng):
         for _ in range(40):
@@ -335,6 +321,50 @@ class TestAuto:
             rep = sigma_lower_auto(g)
             exact, _ = sigma_exact_value(g)
             assert rep.claimed_sigma_lower <= max(1, exact.value)
+
+
+OWNERSHIP_GRAPHS = {
+    "K30": lambda: complete(30),
+    "C5": lambda: cycle(5),
+    **{f"G200-{s}": (lambda s=s: gen_gnp(200, OPTIMAL_P, s)) for s in range(3)},
+    "hub-periphery": hub_periphery_graph,
+    "G2000-0.95": lambda: gen_gnp(2000, 0.95, 0),
+}
+
+
+class TestAlphaOwnership:
+    """Each route searches for alpha once on its graph, within its own
+    budget, and reports that result; a smaller filtered graph and a
+    recursion's subgraph get searches of their own."""
+
+    BUDGET = 500_000
+
+    @pytest.mark.parametrize("name", list(OWNERSHIP_GRAPHS))
+    def test_report_carries_the_routes_one_search(self, monkeypatch, name):
+        g = OWNERSHIP_GRAPHS[name]()
+        expected = alpha_exact(g, self.BUDGET)
+        searched = []
+
+        def counted(h, budget):
+            searched.append(h)
+            return alpha_exact(h, budget)
+
+        monkeypatch.setattr(pipeline, "alpha_exact", counted)
+        d = edge_density(g)
+        below_gate = 2 * g.m != g.n * (g.n - 1) and d * d * g.n < 1600
+        for route in (sigma_lower_dense, sigma_lower_sparse, sigma_lower_auto):
+            searched.clear()
+            if route is sigma_lower_dense and below_gate:
+                with pytest.raises(PreconditionRefusal, match="1600"):
+                    route(g, alpha_budget=self.BUDGET)
+                assert searched == []
+                continue
+            rep = route(g, alpha_budget=self.BUDGET)
+            # the first search is on g, and no later one is
+            assert [h is g for h in searched] == [True] + [False] * (len(searched) - 1)
+            assert rep.alpha == expected
+            if name == "G200-0":
+                assert next(e["alpha"] for e in rep.transcript if "alpha" in e) == 5
 
 
 # sigma_lower_auto on G(n, p, graph_seed) with the route seed: claim,
