@@ -19,7 +19,7 @@ from . import __version__
 from .experiments import OPTIMAL_P, SweepBudgets, emit_report, run_ratio_sweep
 from .graph_io import ParseError, read_graph, write_graph
 from .graphs import gen_gnp
-from .oracles import graph_stats
+from .oracles import DEFAULT_BUDGET, graph_stats
 from .pipeline import (
     PreconditionRefusal,
     check_ratio_induction_step,
@@ -52,14 +52,14 @@ def _build_parser() -> argparse.ArgumentParser:
     stats = sub.add_parser("stats", help="oracle bounds for a graph file")
     stats.add_argument("graph", type=Path)
     stats.add_argument("--format", choices=["edge-list", "graph6"], default="edge-list")
-    stats.add_argument("--budget-nodes", type=int, default=2_000_000)
+    stats.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET)
 
     pipe = sub.add_parser("pipeline", help="run the subdivision pipeline")
     pipe.add_argument("graph", type=Path)
     pipe.add_argument("--format", choices=["edge-list", "graph6"], default="edge-list")
     pipe.add_argument("--case", choices=["dense", "sparse", "auto"], default="auto")
     pipe.add_argument("--seed", type=int, default=0)
-    pipe.add_argument("--budget-nodes", type=int, default=2_000_000)
+    pipe.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET)
     pipe.add_argument("--out", type=Path, help="write the report JSON here")
     pipe.add_argument("--cert-out", type=Path, help="write the certificate JSON here")
 
@@ -79,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--p", type=float, default=OPTIMAL_P)
     sweep.add_argument("--seeds", type=int, default=1, help="seeds per size")
     sweep.add_argument("--seed", type=int, default=0, help="base seed")
-    sweep.add_argument("--budget-nodes", type=int, default=2_000_000)
+    sweep.add_argument("--budget-nodes", type=int, default=DEFAULT_BUDGET)
     sweep.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep.add_argument("--out", type=Path)
 
@@ -135,7 +135,7 @@ def cli_main(argv: list[str] | None = None) -> int:
                 if args.case == "dense":
                     report = sigma_lower_dense(g, args.seed, alpha_budget=budget)
                 elif args.case == "sparse":
-                    report = sigma_lower_sparse(g, 0, args.seed, alpha_budget=budget)
+                    report = sigma_lower_sparse(g, args.seed, alpha_budget=budget)
                 else:
                     report = sigma_lower_auto(g, args.seed, alpha_budget=budget)
             except PreconditionRefusal as exc:

@@ -203,7 +203,7 @@ def find_certified_ratio_violation(
     log: list[str] = []
     best_gap: Optional[float] = None
     best_desc = ""
-    for n in sorted(ns):
+    for n in sorted(set(ns)):
         for i in range(seeds_per_n):
             seed = base_seed + i
             g = gen_gnp(n, p, seed)

@@ -40,9 +40,8 @@ class ParseError(ValueError):
         self.byte = byte
 
 
-def _parse_edge_list(text: str, n: int | None) -> Graph:
-    declared = n
-    header_seen = False
+def _parse_edge_list(text: str) -> Graph:
+    declared = None
     edges = []
     max_seen = -1
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -53,7 +52,7 @@ def _parse_edge_list(text: str, n: int | None) -> Graph:
         if parts[0] == "n":
             if lineno != 1 and edges:
                 raise ParseError("header line after edges", line=lineno)
-            if header_seen:
+            if declared is not None:
                 raise ParseError("second header line", line=lineno)
             if len(parts) != 2:
                 raise ParseError("header must be 'n <count>'", line=lineno)
@@ -63,11 +62,7 @@ def _parse_edge_list(text: str, n: int | None) -> Graph:
                 count = -1
             if count < 0:
                 raise ParseError(f"bad vertex count {parts[1]!r}", line=lineno)
-            if n is not None and count != n:
-                raise ParseError(
-                    f"header declares {count} vertices, caller declared {n}", line=lineno
-                )
-            declared, header_seen = count, True
+            declared = count
             continue
         if len(parts) != 2:
             raise ParseError(f"expected 'u v', got {line!r}", line=lineno)
@@ -235,18 +230,18 @@ def from_graph6(text: str) -> Graph:
 PathOrFile = Union[str, Path, io.TextIOBase]
 
 
-def read_graph(source: PathOrFile, fmt: str = "edge-list", n: int | None = None) -> Graph:
-    """Read a graph from a path or text stream in the given format."""
+def read_graph(source: PathOrFile, fmt: str = "edge-list") -> Graph:
+    """Read a graph from a path or text stream in the given format.  The
+    input alone sets n: an edge list's ``n <count>`` header, else one more
+    than its largest endpoint; a graph6 string's size bytes."""
     if fmt not in ("edge-list", "graph6"):
         raise ValueError(f"unknown format {fmt!r}")
-    if n is not None and n < 0:
-        raise ValueError(f"vertex count must be nonnegative, got {n}")
     if isinstance(source, (str, Path)):
         text = Path(source).read_text()
     else:
         text = source.read()
     if fmt == "edge-list":
-        return _parse_edge_list(text, n)
+        return _parse_edge_list(text)
     return from_graph6(text)
 
 

@@ -467,21 +467,23 @@ def chi_exact(g: Graph, budget: int = DEFAULT_BUDGET) -> ColoringResult:
     Proves optimality by exhausting (k-1)-colorability; on budget
     exhaustion returns a flagged [chi_lower, chi_upper] interval.
     """
-    n = g.n
-    if n == 0:
-        return ColoringResult(0, 0, (), TAG_EXACT)
     ub, coloring = dsatur_upper(g)
-    clique = _max_clique_core(g.rows, n, min(budget, 200_000))
-    lb = clique.value
+    clique = _max_clique_core(g.rows, g.n, min(budget, 200_000))
+    return _chi_from_bounds(g, ub, coloring, clique.value, budget)
+
+
+def _chi_from_bounds(
+    g: Graph, ub: int, coloring: tuple[int, ...], lb: int, budget: int
+) -> ColoringResult:
+    """Exhaust k-colorability for k = lb, lb+1, ... below ``ub``, the size
+    of the DSATUR ``coloring``; ``lb`` is a clique size."""
     spent = [budget]
-    k = lb
-    while k < ub:
+    for k in range(lb, ub):
         res = _try_k_coloring(g, k, spent)
         if res == "exceeded":
             return ColoringResult(k, ub, coloring, TAG_EXCEEDED, budget - spent[0])
         if res is not None:
             return ColoringResult(k, k, res, TAG_EXACT, budget - spent[0])
-        k += 1
     return ColoringResult(ub, ub, coloring, TAG_EXACT, budget - spent[0])
 
 
@@ -681,10 +683,12 @@ def graph_stats(g: Graph, budget: int = DEFAULT_BUDGET) -> GraphStats:
     stats = GraphStats(n=g.n, m=g.m, density=edge_density(g))
     stats.alpha = alpha_exact(g, budget)
     stats.omega = omega_exact(g, budget)
-    k, _ = dsatur_upper(g)
+    k, coloring = dsatur_upper(g)
     stats.dsatur = k
     if g.n <= 20:
-        stats.chi = chi_exact(g, budget)
+        # omega is chi_exact's clique bound: at n <= 20 its search ends
+        # within a few hundred nodes, far inside chi_exact's 200 000 cap
+        stats.chi = _chi_from_bounds(g, k, coloring, stats.omega.value, budget)
     if stats.alpha.exact and stats.omega.exact:
         # consistency: omega <= dsatur and n <= alpha * dsatur
         if stats.omega.value > stats.dsatur:

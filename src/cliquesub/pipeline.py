@@ -2,12 +2,13 @@
 
 Two routes follow the proof's case analysis.  The dense route extracts
 straight from the graph.  The sparse route filters by degree, takes a
-maximum independent set I, keeps the vertices with few neighbours in I,
-recurses when that loses a density factor 10, and otherwise extracts and
-then applies the independence filter.  Both routes share one extraction
-step (dependent random choice: a partition, then a hub) and one build step
-(a ladder of greedy length-4 builds, each verified), and every fallback is
-the same verified single-vertex certificate.
+maximum independent set I and keeps the vertices with few neighbours in
+I.  When that loses a density factor 10 it starts over on the kept
+subgraph, one level down; otherwise it extracts and then applies the
+independence filter.  Both routes share one extraction step (dependent
+random choice: a partition, then a hub) and one build step (a ladder of
+greedy length-4 builds, each verified), and every fallback is the same
+verified single-vertex certificate.
 
 The dense route owns the extraction gate d^2*n >= 1600, and both emit
 machine-checked certificates for whatever order they actually achieve.
@@ -22,6 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import count
 from math import isqrt
 from typing import Optional
 
@@ -70,7 +72,7 @@ C1 = 1e-114
 C2 = 1e-114
 BIG_C = 1e120
 
-# Recursion depth at which the sparse route stops with a single vertex.
+# Level at which the sparse route stops with a single vertex.
 MAX_DEPTH = 40
 # Sizes the build ladder tries before it falls back to a single vertex.
 BUILDER_RETRIES = 30
@@ -274,144 +276,140 @@ def _degree_filter(g: Graph) -> list[int]:
 
 
 def sigma_lower_sparse(
-    g: Graph, depth: int = 0, seed: int = 0, *, alpha_budget: int = DEFAULT_BUDGET
+    g: Graph, seed: int = 0, *, alpha_budget: int = DEFAULT_BUDGET
 ) -> BoundReport:
-    """Sparse-case bound: degree filter, independent set, restriction, then
-    a recursion when the restricted subgraph loses a density factor 10, or
-    else extract, independence-filter and build.
+    """Sparse-case bound, one loop over levels: degree filter, independent
+    set, restriction, then extract, independence-filter and build, or, when
+    the restriction loses a density factor 10, the next level on it.
 
-    Mirrors the proof's case analysis; every branch decision lands in the
-    transcript.
-
-    alpha is searched for once at entry, within ``alpha_budget``, and the
-    report carries the result as ``alpha``.  When the degree filter keeps
-    every vertex, the filtered graph is g and this result also serves as
-    its independent set; a smaller filtered graph, and a recursion's
-    subgraph, each get their own search.
+    Level ``depth`` is a graph h with ``labels`` mapping its vertices to
+    g's (level 0 is g); it searches its own alpha within ``alpha_budget``
+    and extracts with ``seed + depth``, and the loop stops ``MAX_DEPTH``
+    levels down.  A certificate found below level 0 is lifted to g and
+    verified against g once, with the sorted union of every level's flags.
+    One transcript records every branch; ``alpha`` is g's own search.
     """
-    n, m = g.n, g.m
-    transcript: list[dict] = [
-        {"step": "sparse-entry", "depth": depth, "n": n, "m": m, "seed": seed}
-    ]
-    if n == 0:
-        return BoundReport(0, PROV_TRIVIAL, None, transcript, [])
-    alpha = alpha_exact(g, alpha_budget)
-    transcript[0]["alpha"] = alpha.value
-    transcript[0]["alpha_tag"] = alpha.tag
-    report = _sparse_cases(g, alpha, depth, seed, alpha_budget, transcript)
-    report.alpha = alpha
-    return report
+    transcript: list[dict] = []
+    above: set[str] = set()  # flags of the levels the route descended from
+    h, labels, g_alpha = g, range(g.n), None
+    for depth in count():
+        n, m = h.n, h.m
+        entry = {"step": "sparse-entry", "depth": depth, "n": n, "m": m, "seed": seed + depth}
+        transcript.append(entry)
+        if n == 0:
+            report = BoundReport(0, PROV_TRIVIAL, None, transcript, [])
+            break
+        alpha = alpha_exact(h, alpha_budget)
+        if depth == 0:
+            g_alpha = alpha
+        entry["alpha"], entry["alpha_tag"] = alpha.value, alpha.tag
+        d = edge_density(h)
+        a_val = alpha.value
+        flags = [] if alpha.exact else ["heuristic-alpha"]
 
+        # base case: density below n^(-1/4), exactly 16*m^4 < n^3*(n-1)^4
+        if 16 * m**4 < n**3 * (n - 1) ** 4:
+            transcript.append({"step": "base-case", "name": "d < n^(-1/4)"})
+            report = _single_vertex_report(h, transcript, flags)
+            break
+        # base case: independence number above n/16 -> cited density bound
+        if 16 * a_val > n:
+            transcript.append({"step": "base-case", "name": "alpha > n/16"})
+            report = _cited_report(h, transcript, flags)
+            break
+        if depth >= MAX_DEPTH:
+            transcript.append({"step": "depth-cap", "depth": depth})
+            report = _single_vertex_report(h, transcript, flags + ["depth-cap-exceeded"])
+            break
 
-def _sparse_cases(
-    g: Graph, alpha: Tagged, depth: int, seed: int, alpha_budget: int, transcript: list[dict]
-) -> BoundReport:
-    """The case analysis of :func:`sigma_lower_sparse` on a nonempty g
-    whose alpha is searched."""
-    n, m = g.n, g.m
-    d = edge_density(g)
-    a_val = alpha.value
-    flags = [] if alpha.exact else ["heuristic-alpha"]
+        v_prime = _degree_filter(h)
+        if len(v_prime) == n:
+            i_local, map_prime = alpha, v_prime
+        else:
+            h_prime, map_prime = induced(h, v_prime)
+            i_local = alpha_exact(h_prime, alpha_budget)
+        if not i_local.exact:
+            flags.append("heuristic-independent-set")
+        i_labels = tuple(sorted(map_prime[v] for v in i_local.witness))
+        i_mask = vertex_mask(i_labels)
+        i_size = len(i_labels)
+        transcript.append(
+            {"step": "filter", "v_prime": len(v_prime), "i_size": i_size,
+             "i_tag": i_local.tag}
+        )
+        # X: vertices of V' with at least 8*d*|I| neighbors in I (exact compare)
+        v_dprime = []
+        for v in v_prime:
+            if (1 << v) & i_mask:
+                continue
+            cnt = (h.rows[v] & i_mask).bit_count()
+            if cnt * n * (n - 1) >= 16 * m * i_size:
+                continue
+            v_dprime.append(v)
+        transcript.append({"step": "restrict", "v_dprime": len(v_dprime)})
+        if len(v_dprime) < 2:
+            report = _single_vertex_report(h, transcript, flags + ["filtered-set-too-small"])
+            break
 
-    # base case: density below n^(-1/4), exactly 16*m^4 < n^3*(n-1)^4
-    if 16 * m**4 < n**3 * (n - 1) ** 4:
-        transcript.append({"step": "base-case", "name": "d < n^(-1/4)"})
-        return _single_vertex_report(g, transcript, flags)
-    # base case: independence number above n/16 -> cited density bound
-    if 16 * a_val > n:
-        transcript.append({"step": "base-case", "name": "alpha > n/16"})
-        return _cited_report(g, transcript, flags)
-
-    if depth >= MAX_DEPTH:
-        transcript.append({"step": "depth-cap", "depth": depth})
-        return _single_vertex_report(g, transcript, flags + ["depth-cap-exceeded"])
-
-    v_prime = _degree_filter(g)
-    if len(v_prime) == n:
-        i_local, map_prime = alpha, v_prime
-    else:
-        g_prime, map_prime = induced(g, v_prime)
-        i_local = alpha_exact(g_prime, alpha_budget)
-    if not i_local.exact:
-        flags.append("heuristic-independent-set")
-    i_labels = tuple(sorted(map_prime[v] for v in i_local.witness))
-    i_mask = vertex_mask(i_labels)
-    i_size = len(i_labels)
-    transcript.append(
-        {"step": "filter", "v_prime": len(v_prime), "i_size": i_size,
-         "i_tag": i_local.tag}
-    )
-    # X: vertices of V' with at least 8*d*|I| neighbors in I (exact compare)
-    v_dprime = []
-    for v in v_prime:
-        if (1 << v) & i_mask:
+        h_sub, map_sub = induced(h, v_dprime)
+        d_sub = edge_density(h_sub)
+        transcript.append(
+            {"step": "density-drop", "d": float(d), "d_sub": float(d_sub),
+             "q": float(d_sub / d) if d else None}
+        )
+        if 10 * d_sub <= d:
+            # descend to the strictly smaller filtered subgraph
+            assert h_sub.n <= n - i_size < n
+            transcript.append({"step": "case", "name": "density-drop-recursion"})
+            above.update(flags)
+            h, labels = h_sub, tuple(labels[v] for v in map_sub)
             continue
-        cnt = (g.rows[v] & i_mask).bit_count()
-        if cnt * n * (n - 1) >= 16 * m * i_size:
-            continue
-        v_dprime.append(v)
-    transcript.append({"step": "restrict", "v_dprime": len(v_dprime)})
-    if len(v_dprime) < 2:
-        return _single_vertex_report(g, transcript, flags + ["filtered-set-too-small"])
 
-    g_sub, map_sub = induced(g, v_dprime)
-    d_sub = edge_density(g_sub)
-    transcript.append(
-        {"step": "density-drop", "d": float(d), "d_sub": float(d_sub),
-         "q": float(d_sub / d) if d else None}
-    )
-    if 10 * d_sub <= d:
-        # recursion on the strictly smaller filtered subgraph
-        assert g_sub.n <= n - i_size < n
-        child = sigma_lower_sparse(g_sub, depth + 1, seed + 1, alpha_budget=alpha_budget)
-        transcript.append({"step": "case", "name": "density-drop-recursion"})
-        transcript.extend(child.transcript)
-        cert = child.certificate
-        if cert is not None:
-            cert = relabel_certificate(cert, map_sub)
-            check = verify_subdivision(g, cert)
+        transcript.append({"step": "case", "name": "extraction"})
+        v1_labels = _extract(h_sub, map_sub, seed + depth, transcript)
+        if len(v1_labels) < 2:
+            report = _single_vertex_report(h, transcript, flags + ["extraction-too-small"])
+            break
+
+        # independence filter with cap 8*d (clamped into (0,1] at desk scale)
+        cap = min(Fraction(8) * d, Fraction(1))
+        filtered = es_filter(h, i_labels, v1_labels, cap)
+        if cap < 1:
+            beta = min(int(8 * d * a_val), a_val)
+        else:
+            beta = a_val
+            flags.append("filter-cap-clamped")
+        beta = max(beta, 1)
+        df = float(d)
+        u_target = int(math.exp(-15 * df * a_val * math.log(1 / df)) * n) if 0 < df < 1 else 0
+        if u_target >= 1 and u_target < len(filtered):
+            u_labels = filtered[:u_target]
+        else:
+            u_labels = filtered
+            if u_target < 1:
+                flags.append("truncation-target-below-1")
+        transcript.append(
+            {"step": "independence-filter", "cap": float(cap),
+             "filtered": len(filtered), "u_target": u_target,
+             "u_size": len(u_labels), "beta": beta}
+        )
+        if len(u_labels) < 1:
+            report = _single_vertex_report(h, transcript, flags + ["filter-empty"])
+            break
+
+        pool_mask = vertex_mask(v_dprime) & ~vertex_mask(v1_labels)
+        report = _build(h, u_labels, pool_mask, transcript, flags)
+        break
+
+    if depth > 0:
+        if report.certificate is not None:
+            report.certificate = relabel_certificate(report.certificate, labels)
+            check = verify_subdivision(g, report.certificate)
             if not check.ok:
                 raise AssertionError(f"lifted certificate invalid: {check.clause}")
-        return BoundReport(
-            child.claimed_sigma_lower,
-            child.provenance,
-            cert,
-            transcript,
-            sorted(set(flags) | set(child.flags)),
-        )
-
-    transcript.append({"step": "case", "name": "extraction"})
-    v1_labels = _extract(g_sub, map_sub, seed, transcript)
-    if len(v1_labels) < 2:
-        return _single_vertex_report(g, transcript, flags + ["extraction-too-small"])
-
-    # independence filter with cap 8*d (clamped into (0,1] at desk scale)
-    cap = min(Fraction(8) * d, Fraction(1))
-    filtered = es_filter(g, i_labels, v1_labels, cap)
-    if cap < 1:
-        beta = min(int(8 * d * a_val), a_val)
-    else:
-        beta = a_val
-        flags.append("filter-cap-clamped")
-    beta = max(beta, 1)
-    df = float(d)
-    u_target = int(math.exp(-15 * df * a_val * math.log(1 / df)) * n) if 0 < df < 1 else 0
-    if u_target >= 1 and u_target < len(filtered):
-        u_labels = filtered[:u_target]
-    else:
-        u_labels = filtered
-        if u_target < 1:
-            flags.append("truncation-target-below-1")
-    transcript.append(
-        {"step": "independence-filter", "cap": float(cap),
-         "filtered": len(filtered), "u_target": u_target,
-         "u_size": len(u_labels), "beta": beta}
-    )
-    if len(u_labels) < 1:
-        return _single_vertex_report(g, transcript, flags + ["filter-empty"])
-
-    pool_mask = vertex_mask(v_dprime) & ~vertex_mask(v1_labels)
-    return _build(g, u_labels, pool_mask, transcript, flags)
+        report.flags = sorted(above.union(report.flags))
+    report.alpha = g_alpha
+    return report
 
 
 def sigma_lower_auto(
@@ -433,7 +431,7 @@ def sigma_lower_auto(
         report = sigma_lower_dense(g, seed, alpha_budget=alpha_budget)
         report.transcript.insert(0, {"step": "auto", "route": "dense"})
         return report
-    report = sigma_lower_sparse(g, 0, seed, alpha_budget=alpha_budget)
+    report = sigma_lower_sparse(g, seed, alpha_budget=alpha_budget)
     report.transcript.insert(0, {"step": "auto", "route": "sparse"})
     return report
 

@@ -107,6 +107,18 @@ class TestViolationSearch:
         assert rec is None
         assert any("best gap" in line for line in log)
 
+    def test_repeated_n_searches_each_graph_once(self, monkeypatch):
+        cells = []
+        cell = experiments._cell
+
+        def counted(g, *args):
+            cells.append(g.n)
+            return cell(g, *args)
+
+        monkeypatch.setattr(experiments, "_cell", counted)
+        assert find_certified_ratio_violation([30, 30]) == find_certified_ratio_violation([30])
+        assert cells == [30, 30]
+
     def test_log_names_budget_failures(self):
         budgets = SweepBudgets(omega_nodes=5)
         rec, log = find_certified_ratio_violation([40], budgets=budgets)

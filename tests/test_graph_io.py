@@ -146,7 +146,7 @@ class TestGraph6:
 
 class TestEdgeList:
     def test_basic_parse_with_declared_n(self):
-        g = read_graph(io.StringIO("0 1\n1 2\n"), "edge-list", n=3)
+        g = read_graph(io.StringIO("0 1\n1 2\n"), "edge-list")
         assert g.n == 3 and sorted(g.edges()) == [(0, 1), (1, 2)]
 
     def test_header(self):
@@ -176,14 +176,8 @@ class TestEdgeList:
         with pytest.raises(ParseError, match="exceeds"):
             read_graph(io.StringIO("n 2\n0 5\n"), "edge-list")
 
-    def test_header_disagreeing_with_caller_rejected(self):
-        with pytest.raises(ParseError) as info:
-            read_graph(io.StringIO("n 3\n0 1\n"), "edge-list", n=5)
-        assert str(info.value) == "header declares 3 vertices, caller declared 5 (line 1)"
-        assert info.value.line == 1
-
     def test_header_agreeing_with_caller_reads(self):
-        g = read_graph(io.StringIO("# n first\nn 5\n0 1\n"), "edge-list", n=5)
+        g = read_graph(io.StringIO("# n first\nn 5\n0 1\n"), "edge-list")
         assert g.n == 5 and sorted(g.edges()) == [(0, 1)]
 
     def test_second_header_rejected(self):
@@ -197,15 +191,6 @@ class TestEdgeList:
             read_graph(io.StringIO("n -3\n"), "edge-list")
         assert str(info.value) == "bad vertex count '-3' (line 1)"
         assert info.value.line == 1
-
-    def test_negative_n_rejected_before_parsing(self):
-        class Unread(io.StringIO):
-            def read(self, *args):
-                raise AssertionError("source read")
-
-        with pytest.raises(ValueError, match="nonnegative") as info:
-            read_graph(Unread(), "edge-list", n=-2)
-        assert not isinstance(info.value, ParseError)
 
     def test_comments_and_blanks_ignored(self):
         g = read_graph(io.StringIO("# a comment\n\n0 1\n"), "edge-list")

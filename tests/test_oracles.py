@@ -561,6 +561,29 @@ class TestGraphStats:
         assert st.chi.value == 3
         assert not st.notes
 
+    def test_each_search_runs_once(self, monkeypatch):
+        g = gen_gnp(12, 0.5, 1)
+        chi = chi_exact(g)
+        calls = []
+        for name in ("dsatur_upper", "_max_clique_core"):
+            original = getattr(oracles, name)
+
+            def counted(*args, name=name, original=original):
+                calls.append(name)
+                return original(*args)
+
+            monkeypatch.setattr(oracles, name, counted)
+        st = graph_stats(g)
+        # one clique search each for alpha and omega, one DSATUR run
+        assert sorted(calls) == ["_max_clique_core"] * 2 + ["dsatur_upper"]
+        assert st.chi == chi
+
+    def test_chi_equals_chi_exact(self, rng):
+        for budget in (DEFAULT_BUDGET, 300, 5):
+            for _ in range(40):
+                g = random_graph(rng, rng.randint(0, 14))
+                assert graph_stats(g, budget).chi == chi_exact(g, budget)
+
     def test_invariants_on_randoms(self, rng):
         for _ in range(50):
             g = random_graph(rng, rng.randint(1, 10))

@@ -12,7 +12,6 @@ from cliquesub.experiments import OPTIMAL_P
 from cliquesub.graphs import complement, edge_density, gen_gnp, new_graph
 from cliquesub.oracles import alpha_exact, sigma_exact_value
 from cliquesub.pipeline import (
-    MAX_DEPTH,
     REQ_DENSE_N,
     REQ_SPARSE_ALPHA,
     REQ_SPARSE_D,
@@ -288,9 +287,10 @@ class TestSparseBranches:
         assert searched[:2] == [500, 400] and searched.count(500) == 1
         assert rep.alpha == alpha_exact(g)
 
-    def test_recursion_terminates_with_depth_cap(self):
+    def test_recursion_terminates_with_depth_cap(self, monkeypatch):
         g = gen_gnp(900, 0.4, 4)
-        rep = sigma_lower_sparse(g, depth=MAX_DEPTH, seed=0, alpha_budget=120_000)
+        monkeypatch.setattr(pipeline, "MAX_DEPTH", 0)
+        rep = sigma_lower_sparse(g, seed=0, alpha_budget=120_000)
         assert "depth-cap-exceeded" in rep.flags
         assert rep.claimed_sigma_lower == 1
         assert rep.provenance == "certified-constructive"
@@ -335,7 +335,7 @@ OWNERSHIP_GRAPHS = {
 class TestAlphaOwnership:
     """Each route searches for alpha once on its graph, within its own
     budget, and reports that result; a smaller filtered graph and a
-    recursion's subgraph get searches of their own."""
+    lower level's subgraph get searches of their own."""
 
     BUDGET = 500_000
 
@@ -396,7 +396,22 @@ RANDOM_PINS = [
 ]
 
 
+# sha256 of json.dumps(report.to_json_dict()) for each route_reports
+# fixture: claim, provenance, flags in order, certificate and transcript
+REPORT_SHA = {
+    "sparse": "f979fe6ef5df0bbcc53638687fb327b05780514f866354cffc35abc4c23d685d",
+    "recursion": "b2bc8ce2acc1a5927f453fbbbd224d52d170558b7e7263e30384fb23ee28843e",
+    "dense": "f083eb965f699e78f69d46f4c282047f53b473a2b768719cd136e2d86796c2b4",
+}
+
+
 class TestPinnedReports:
+    @pytest.mark.parametrize("name", list(REPORT_SHA))
+    def test_whole_report(self, route_reports, name):
+        _, rep = route_reports[name]
+        text = json.dumps(rep.to_json_dict())
+        assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA[name]
+
     def test_both_routes_record_the_same_extraction_steps(self, route_reports):
         def keys(rep, step):
             return [sorted(e) for e in rep.transcript if e["step"] == step]

@@ -287,3 +287,18 @@ class TestJsonFormat:
         lifted = relabel_certificate(cert, mapping)
         assert not lifted.verified
         assert verify_subdivision(g, lifted).ok
+
+    def test_relabel_composes(self):
+        """Lifting through two induced levels at once equals lifting one
+        level at a time, as the sparse route's single lift relies on."""
+        from cliquesub.graphs import induced
+
+        g = gen_gnp(60, 0.8, 3)
+        mid, outer = induced(g, [*range(3, 60, 2), *range(4, 40, 3)])
+        sub, inner = induced(mid, [v for v in range(mid.n) if v % 5])
+        cert = build_subdivision(sub, range(0, 12, 2), range(12, sub.n))
+        assert isinstance(cert, SubdivisionCertificate) and cert.paths
+        stepwise = relabel_certificate(relabel_certificate(cert, inner), outer)
+        at_once = relabel_certificate(cert, tuple(outer[v] for v in inner))
+        assert at_once.to_json_dict() == stepwise.to_json_dict()
+        assert verify_subdivision(g, at_once).ok
